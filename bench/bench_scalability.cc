@@ -72,15 +72,15 @@ struct Series {
 
 splitfs::Options ConcurrentOptions() {
   splitfs::Options o;
-  // Real §3.5 replenisher thread: staging files are pre-created off the workers'
-  // critical path. (Deterministic single-threaded tests keep it off; here the whole
-  // point is concurrency.)
+  // Background §3.5 replenisher (pool passes): staging files are pre-created off
+  // the workers' critical path. (Deterministic single-threaded tests keep it off;
+  // here the whole point is concurrency.)
   o.replenish_thread = true;
   // Async relink publication: fsync returns once the relink intent is fenced; the
   // relink ioctls and their journal commit leave the workers' critical path. The
-  // deterministic inline publisher (cost rewound, same accounting as the real
-  // thread) keeps every cell reproducible run-to-run; the real publisher thread is
-  // exercised under TSan by the concurrency test suite.
+  // deterministic inline publisher (cost rewound, same accounting as a background
+  // pass) keeps every cell reproducible run-to-run; the background publisher pool
+  // is exercised under TSan by the concurrency test suite.
   o.async_relink = true;
   // Pre-size the pool for the 16-thread sweep point (16 lanes x one 16 MiB active
   // file): pool exhaustion mid-run would serialize every worker behind foreground

@@ -41,9 +41,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # create/rename/unlink/rmdir over the per-inode/dentry-shard locks), the
   # lock-free MmapCache translate-during-churn group (epoch reclamation), and the
   # *_async instantiations, which run every U-Split suite with the async relink
-  # publisher enabled (Options::async_relink + a real publisher thread) — so the
-  # intent-log/publish/fence protocol is TSan-verified on every pass. The tenant
-  # router's mount/unmount churn race suite (tenant_test) rides the same label.
+  # publisher enabled (Options::async_relink + background publisher passes) — so
+  # the intent-log/publish/fence protocol is TSan-verified on every pass. The tenant
+  # router's mount/unmount churn race suite (tenant_test) rides the same label, and
+  # so does journal_publish_batch (journal_test's PublishBatchTest group, which
+  # drains a backlog through the instance's own publisher pool).
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure -L concurrency "$@"
   exit 0

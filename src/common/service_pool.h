@@ -1,17 +1,18 @@
-// Shared bounded service-thread pool (ROADMAP item 1, multi-tenant scale-out).
+// Bounded service-thread pool: the one executor of background work.
 //
-// One SplitFs instance per tenant used to mean one publisher thread + one staging
-// replenisher thread per tenant, so N tenants cost O(N) service threads. A
-// ServicePool inverts that: a fixed handful of workers serve jobs that any number
-// of client instances *register* with, keyed by client so one tenant's teardown can
-// fence exactly its own work. The tenant router owns three of these (publisher,
-// staging replenisher, journal commit) and every mounted tenant shares them —
-// total service threads are O(pools), not O(tenants).
+// Every background service (the async relink publisher, the staging replenisher,
+// the journal-commit service) runs either inline on the caller — deterministic, cost
+// rewound — or as passes on a ServicePool. A fixed handful of workers serve jobs
+// that any number of client instances *register* with, keyed by client so one
+// client's teardown can fence exactly its own work. A single-tenant SplitFs owns a
+// 1-worker pool per enabled service; the tenant router owns three shared pools
+// (publisher, staging replenisher, journal commit) that every mounted tenant
+// borrows — total service threads are O(pools), not O(tenants).
 //
-// Simulation note: pool workers bind no sim::Clock::Lane, exactly like the private
-// per-instance threads they replace, so their virtual-time charges land on the
-// shared timeline that lane-based measurements ignore. Swapping a private thread
-// for a pool is invisible to every foreground timeline.
+// Simulation note: pool workers bind no sim::Clock::Lane, so their virtual-time
+// charges land on the shared timeline that lane-based measurements ignore. Whether
+// a pass runs on an owned or a shared pool is invisible to every foreground
+// timeline.
 #ifndef SRC_COMMON_SERVICE_POOL_H_
 #define SRC_COMMON_SERVICE_POOL_H_
 
@@ -58,8 +59,7 @@ class ServicePool {
 
   // True while the calling thread is a worker of *this* pool executing a job.
   // Clients that must not fence on their own service pass (the publisher's
-  // checkpoint re-entry) consult this the way they used to compare thread ids
-  // against their private thread.
+  // checkpoint re-entry) consult this.
   bool OnWorkerThread() const { return tls_running_in_ == this; }
 
  private:

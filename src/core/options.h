@@ -34,8 +34,8 @@ struct Options {
   // pre-populated); configurable 2 MB .. 512 MB (§3.6).
   uint64_t mmap_size = 2 * common::kMiB;
 
-  // Staging file pool (§3.5): files pre-created at startup; a background thread
-  // replaces each one as it is consumed.
+  // Staging file pool (§3.5): files pre-created at startup; background work
+  // replaces each one as it is consumed (see replenish_thread).
   uint32_t num_staging_files = 10;
   uint64_t staging_file_bytes = 160 * common::kMiB;
 
@@ -45,11 +45,13 @@ struct Options {
   // allocates the same byte sequence as the pre-concurrency pool.
   uint32_t staging_lanes = 16;
 
-  // Run the §3.5 replenishment thread for real: a dedicated std::thread pre-creates
-  // staging files off the critical path. Off by default — the crash harness and the
-  // deterministic single-threaded tests require a fully deterministic store sequence,
-  // which the (equivalent, inline, clock-rewound) fallback provides. Multithreaded
-  // benches and the concurrency tests turn it on.
+  // Run §3.5 replenishment in the background: top-up passes on a
+  // common::ServicePool (Services::replenisher_pool, or a 1-worker pool the
+  // instance owns when none is lent) pre-create staging files off the critical
+  // path. Off by default: the replacement is then created inline with its cost
+  // rewound — equivalent accounting with the fully deterministic store sequence the
+  // crash harness and the single-threaded tests require. Multithreaded benches and
+  // the concurrency tests turn it on.
   bool replenish_thread = false;
 
   // Operation log (strict mode): zeroed pre-allocated file; one 64 B entry per op;
@@ -64,22 +66,24 @@ struct Options {
   // from the moment the intent is fenced. Off by default: the synchronous publish
   // path stays byte-identical for the crash matrix and every deterministic test.
   bool async_relink = false;
-  // Run the publisher for real: a dedicated std::thread drains the publish queue,
-  // so the relink ioctls and their journal commit leave the application threads'
-  // critical path (their charges land on the shared timeline, off every lane).
-  // Off by default — the deferred publish then runs inline at the end of fsync with
-  // its cost rewound (sim::ScopedOffClock): equivalent accounting with a fully
-  // deterministic store sequence, which the async crash-matrix column depends on.
+  // Run the publisher in the background: publish passes on a common::ServicePool
+  // (Services::publisher_pool, or a 1-worker pool the instance owns when none is
+  // lent) drain the publish queue, so the relink ioctls and their journal commit
+  // leave the application threads' critical path (pool workers carry no clock
+  // lane; their charges land on the shared timeline). Off by default — the
+  // deferred publish then runs inline at the end of fsync with its cost rewound
+  // (sim::ScopedOffClock): equivalent accounting with a fully deterministic store
+  // sequence, which the async crash-matrix column depends on.
   bool publisher_thread = false;
-  // How many queued files the publisher thread drains under ONE kernel journal
-  // commit per pass. 1 = one commit per file (the pre-batching behavior). Larger
-  // values amortize the commit writeout across an fsync storm's worth of files;
-  // the log-full checkpoint waits on the publisher's completion fence, so a batch
-  // in flight always finishes under its single commit before the op log resets.
-  // 0 = auto: each pass drains the whole queue as it stands — the batch sizes
-  // itself from queue depth, so a deeper backlog amortizes into fewer commits
-  // without tuning. Ignored by the inline (publisher_thread=false) publisher,
-  // which is deterministic per call by design.
+  // How many queued files one publish batch drains under ONE kernel journal commit
+  // (a pass runs batches until the queue is empty). 1 = one commit per file (the
+  // pre-batching behavior). Larger values amortize the commit writeout across an
+  // fsync storm's worth of files; the log-full checkpoint waits on the publisher's
+  // completion fence, so a batch in flight always finishes under its single commit
+  // before the op log resets. 0 = auto: each batch takes the whole queue as it
+  // stands — the batch sizes itself from queue depth, so a deeper backlog
+  // amortizes into fewer commits without tuning. Ignored by the inline
+  // (publisher_thread=false) publisher, which is deterministic per call by design.
   uint32_t publish_batch = 1;
 
   // Record virtual-time spans (op entry/exit, journal seal/writeout, publisher
@@ -101,11 +105,12 @@ struct Options {
 
 // Shared-service wiring for multi-tenant deployments (src/tenant/). All pointers
 // are borrowed (the tenant router outlives every instance it mounts) and all
-// default to null, which means "own your services": a private publisher thread, a
-// private replenisher thread, inline journal commits — today's single-tenant
-// behavior, bit-identical. With a pool set, the instance registers work with the
-// shared pool instead of spawning a thread; with a token bucket set, foreground
-// admission to that service is paced on the caller's virtual timeline.
+// default to null, which means "own your services". Background work has one
+// executor either way: it runs inline (deterministic, cost rewound) or as passes
+// on a common::ServicePool. A lent pool carries the passes of every tenant; with
+// none, an instance that enables a background service (publisher_thread,
+// replenish_thread) owns a 1-worker pool for it. With a token bucket set,
+// foreground admission to that service is paced on the caller's virtual timeline.
 struct Services {
   common::ServicePool* publisher_pool = nullptr;
   common::ServicePool* replenisher_pool = nullptr;

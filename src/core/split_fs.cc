@@ -109,8 +109,9 @@ SplitFs::SplitFs(ext4sim::Ext4Dax* kfs, Options opts, const std::string& instanc
   SPLITFS_CHECK(fd >= 0);
   SPLITFS_CHECK_OK(kfs_->Fsync(fd));
   SPLITFS_CHECK_OK(kfs_->Close(fd));
-  if (opts_.async_relink && opts_.publisher_thread && !UsePublisherPool()) {
-    publisher_ = std::thread([this] { PublisherLoop(); });
+  if (HasAsyncPublisher() && services_.publisher_pool == nullptr) {
+    owned_publisher_pool_ = std::make_unique<common::ServicePool>("splitfs.publisher");
+    services_.publisher_pool = owned_publisher_pool_.get();
   }
   RegisterGauges();
 }
@@ -169,7 +170,19 @@ void SplitFs::RegisterGauges() {
 SplitFs::~SplitFs() {
   // Gauges read through `this`; drop them before any member state goes away.
   ctx_->obs.metrics.DeregisterGauges(tag_ + ".");
-  StopPublisher();  // Drains the queue: staged data promised by fsync publishes.
+  if (HasAsyncPublisher()) {
+    {
+      std::lock_guard<std::mutex> lg(publish_mu_);
+      publisher_stop_ = true;     // Unblocks backpressure waiters; stops enqueues.
+      publisher_paused_ = false;  // Teardown overrides a test pause.
+    }
+    publish_idle_cv_.notify_all();
+    // Fence the executor: after Drain no pass of ours is queued or running. Anything
+    // still queued (e.g. enqueued while the pass was paused) publishes on this
+    // thread — staged data promised by fsync must reach K-Split.
+    services_.publisher_pool->Drain(reinterpret_cast<uint64_t>(this));
+    DrainQueuedPublishes();
+  }
   for (FileShard& shard : file_shards_) {
     for (auto& [ino, fs] : shard.map) {
       if (fs->kernel_fd >= 0) {
@@ -1516,9 +1529,8 @@ void SplitFs::EnqueuePublish(FileRef fs) {
     return;  // Shutdown race: the instance is tearing down; nothing more queues.
   }
   publish_queue_.push_back(std::move(fs));
-  publish_cv_.notify_one();
   ul.unlock();
-  SchedulePublishPass();  // Pool mode: register a drain pass for the new entry.
+  SchedulePublishPass();  // Register a drain pass for the new entry.
 }
 
 std::vector<SplitFs::FileRef> SplitFs::PublishBatch(std::vector<FileRef> batch) {
@@ -1600,17 +1612,22 @@ std::vector<SplitFs::FileRef> SplitFs::PublishBatch(std::vector<FileRef> batch) 
   return busy;
 }
 
-void SplitFs::PublisherLoop() {
+void SplitFs::SchedulePublishPass() {
+  if (!HasAsyncPublisher()) {
+    return;
+  }
+  // Deduplicated against a QUEUED (not running) pass: a running pass may have
+  // emptied its view of the queue already, so a fresh enqueue needs a fresh pass.
+  services_.publisher_pool->Submit(reinterpret_cast<uint64_t>(this),
+                                   [this] { PublishPassOnPool(); },
+                                   /*dedup_queued=*/true);
+}
+
+void SplitFs::PublishPassOnPool() {
   std::unique_lock<std::mutex> ul(publish_mu_);
   for (;;) {
-    publish_cv_.wait(ul, [this] {
-      return publisher_stop_ || (!publish_queue_.empty() && !publisher_paused_);
-    });
-    if (publish_queue_.empty()) {
-      if (publisher_stop_) {
-        return;  // Queue drained; safe to exit.
-      }
-      continue;
+    if (publish_queue_.empty() || publisher_paused_) {
+      return;  // A later enqueue (or unpause) schedules the next pass.
     }
     // publish_batch == 0 sizes the batch from the queue as it stands: a deep queue
     // (burst of fsyncs) drains under one journal commit instead of one per cap.
@@ -1629,9 +1646,9 @@ void SplitFs::PublisherLoop() {
     std::vector<FileRef> busy;
     {
       // Same locking as a synchronous publish: readers of each file see the staged
-      // snapshot until the swap, the published one after — never a torn window. The
-      // publisher has no clock lane, so the relink and journal-commit charges land
-      // on the shared timeline, off every application thread's critical path.
+      // snapshot until the swap, the published one after — never a torn window.
+      // Pool workers carry no clock lane, so the relink and journal-commit charges
+      // land on the shared timeline, off every application thread's critical path.
       obs::ScopedSpan span(opts_.tracing ? &ctx_->obs.tracer : nullptr, &ctx_->clock,
                            "publisher", "publisher.drain", "files", popped);
       busy = PublishBatch(std::move(batch));
@@ -1647,61 +1664,8 @@ void SplitFs::PublisherLoop() {
     publish_idle_cv_.notify_all();
     if (!busy.empty() && busy.size() == popped && !publisher_stop_) {
       // Every file was lock-contended; the holders are mid-operation. Back off a
-      // beat of real time instead of spinning on their locks.
-      publish_cv_.wait_for(ul, std::chrono::microseconds(100));
-    }
-  }
-}
-
-void SplitFs::SchedulePublishPass() {
-  if (!UsePublisherPool()) {
-    return;
-  }
-  // Deduplicated against a QUEUED (not running) pass: a running pass may have
-  // emptied its view of the queue already, so a fresh enqueue needs a fresh pass.
-  services_.publisher_pool->Submit(reinterpret_cast<uint64_t>(this),
-                                   [this] { PublishPassOnPool(); },
-                                   /*dedup_queued=*/true);
-}
-
-void SplitFs::PublishPassOnPool() {
-  std::unique_lock<std::mutex> ul(publish_mu_);
-  for (;;) {
-    if (publish_queue_.empty() || publisher_paused_) {
-      return;  // A later enqueue (or unpause) schedules the next pass.
-    }
-    const size_t batch_max = opts_.publish_batch > 0
-                                 ? opts_.publish_batch
-                                 : std::max<size_t>(size_t{1}, publish_queue_.size());
-    std::vector<FileRef> batch;
-    while (!publish_queue_.empty() && batch.size() < batch_max) {
-      batch.push_back(std::move(publish_queue_.front()));
-      publish_queue_.pop_front();
-    }
-    const size_t popped = batch.size();
-    publishes_inflight_ += popped;
-    publish_idle_cv_.notify_all();  // Backpressure keys off the queue length.
-    ul.unlock();
-    std::vector<FileRef> busy;
-    {
-      // Pool workers carry no clock lane, exactly like the private publisher
-      // thread: relink and commit charges land on the shared timeline, off every
-      // application thread's critical path.
-      obs::ScopedSpan span(opts_.tracing ? &ctx_->obs.tracer : nullptr, &ctx_->clock,
-                           "publisher", "publisher.drain", "files", popped);
-      busy = PublishBatch(std::move(batch));
-    }
-    ul.lock();
-    // Requeue + inflight drop in ONE critical section (see PublisherLoop).
-    for (FileRef& fs : busy) {
-      publish_queue_.push_back(std::move(fs));
-    }
-    publishes_inflight_ -= popped;
-    publish_idle_cv_.notify_all();
-    if (!busy.empty() && busy.size() == popped && !publisher_stop_) {
-      // Every file was lock-contended; back off a beat of real time on the shared
-      // worker rather than spinning on the holders' locks.
-      publish_cv_.wait_for(ul, std::chrono::microseconds(100));
+      // beat of real time on the worker rather than spinning on their locks.
+      publish_idle_cv_.wait_for(ul, std::chrono::microseconds(100));
     }
   }
 }
@@ -1721,38 +1685,11 @@ void SplitFs::DrainQueuedPublishes() {
   publish_idle_cv_.notify_all();
 }
 
-void SplitFs::StopPublisher() {
-  if (publisher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lg(publish_mu_);
-      publisher_stop_ = true;
-    }
-    publish_cv_.notify_all();
-    publish_idle_cv_.notify_all();
-    publisher_.join();
-    return;
-  }
-  if (UsePublisherPool()) {
-    {
-      std::lock_guard<std::mutex> lg(publish_mu_);
-      publisher_stop_ = true;       // Unblocks backpressure waiters; stops enqueues.
-      publisher_paused_ = false;    // Teardown overrides a test pause.
-    }
-    publish_cv_.notify_all();
-    publish_idle_cv_.notify_all();
-    // Fence the shared pool: after Drain no pass of ours is queued or running.
-    services_.publisher_pool->Drain(reinterpret_cast<uint64_t>(this));
-    // Anything still queued (e.g. enqueued while a pass was paused) publishes on
-    // this thread — staged data promised by fsync must reach K-Split.
-    DrainQueuedPublishes();
-  }
-}
-
 void SplitFs::WaitForPublishes() {
   if (!HasAsyncPublisher()) {
     return;
   }
-  SchedulePublishPass();  // Pool mode: make sure a pass is armed for queued work.
+  SchedulePublishPass();  // Make sure a pass is armed for queued work.
   std::unique_lock<std::mutex> ul(publish_mu_);
   publish_idle_cv_.wait(ul, [this] {
     return publish_queue_.empty() && publishes_inflight_ == 0;
@@ -2021,20 +1958,14 @@ void SplitFs::CheckpointForFull(FileState* held) {
     // append against the still-full log would recurse back into this checkpoint.
     SPLITFS_CHECK_OK(PublishStaged(held, /*log_done=*/false));
   }
-  bool fence = false;
-  if (publisher_.joinable()) {
-    fence = std::this_thread::get_id() != publisher_.get_id();
-  } else if (UsePublisherPool()) {
-    fence = !services_.publisher_pool->OnWorkerThread();
-  }
-  if (fence) {
+  if (HasAsyncPublisher() && !services_.publisher_pool->OnWorkerThread()) {
     // Completion fence: queued/batched publishes finish under their single journal
     // commit before the log resets — the try-lock sweep below cannot see a batch
-    // that is mid-commit on the publisher (thread or pool pass), and must not reset
-    // the log out from under its still-unsealed intents. Publishing `held` first
-    // keeps this deadlock-free: any lock holder blocked here has already emptied
-    // its own staged set, so the publisher drops (never requeues) its queue entry.
-    // The publisher itself skips the fence — it cannot wait for its own drain.
+    // that is mid-commit in a publisher pass, and must not reset the log out from
+    // under its still-unsealed intents. Publishing `held` first keeps this
+    // deadlock-free: any lock holder blocked here has already emptied its own
+    // staged set, so the pass drops (never requeues) its queue entry. A pass itself
+    // skips the fence — it cannot wait for its own drain.
     WaitForPublishes();
   }
   std::lock_guard<std::mutex> cl(checkpoint_mu_);
@@ -2275,13 +2206,25 @@ int SplitFs::Recover() {
   }
   oplog_->Reset();
 
-  // Fresh staging files for the new epoch (unrelinked blocks in old staging files are
-  // garbage-collected out of band, as a real restart would clean its runtime dir).
+  // Fresh staging files for the new epoch. Replay is done, so the old files hold
+  // only dead bytes: close them with the old pool and unlink everything in the
+  // staging directory out of band, as a real restart would clean its runtime dir.
   if (opts_.enable_staging) {
-    static std::atomic<uint64_t> recover_epoch{0};
-    staging_ = std::make_unique<StagingPool>(
-        kfs_, &mmaps_, opts_, tag_ + "-r" + std::to_string(recover_epoch.fetch_add(1)),
-        services_);
+    const std::string dir = staging_->dir();
+    staging_.reset();
+    {
+      sim::ScopedOffClock off(&ctx_->clock);
+      std::vector<std::string> names;
+      if (kfs_->ReadDir(dir, &names) == 0) {
+        for (const std::string& name : names) {
+          kfs_->Unlink(dir + "/" + name);
+        }
+      }
+      // Unlinked blocks are freed at commit (jbd2 rule): commit now, so the new
+      // pool can allocate the space the old one held.
+      kfs_->CommitJournal(/*fsync_barrier=*/false, tag_.c_str());
+    }
+    staging_ = std::make_unique<StagingPool>(kfs_, &mmaps_, opts_, tag_, services_);
   }
   return 0;
 }

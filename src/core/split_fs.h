@@ -69,10 +69,10 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/service_pool.h"
 #include "src/core/mmap_cache.h"
 #include "src/core/oplog.h"
 #include "src/core/options.h"
@@ -99,10 +99,10 @@ class SplitFs : public vfs::FileSystem {
  public:
   // `instance_tag` names this U-Split instance's runtime files (staging, op log).
   // `services` (optional) wires the instance into a multi-tenant deployment
-  // (src/tenant/): shared publisher/replenisher pools replace the private service
-  // threads, and token buckets pace this tenant's staging-file and journal-commit
-  // consumption. The defaults (all null) keep the single-tenant private-thread /
-  // inline behavior bit-identical.
+  // (src/tenant/): the publisher/replenisher passes run on the lent shared pools
+  // instead of pools the instance owns, and token buckets pace this tenant's
+  // staging-file and journal-commit consumption. With the defaults (all null) each
+  // enabled background service runs on its own 1-worker common::ServicePool.
   SplitFs(ext4sim::Ext4Dax* kfs, Options opts, const std::string& instance_tag = "u0",
           const Services& services = {});
   ~SplitFs() override;
@@ -154,19 +154,19 @@ class SplitFs : public vfs::FileSystem {
     return publish_errors_.load(std::memory_order_relaxed);
   }
   // Completion fence of the async publisher: returns once every queued publish has
-  // finished. No-op when the publisher thread is off (inline mode publishes before
-  // fsync/close return). In shared-pool mode it first re-arms a publish pass, so a
-  // queued file whose pass raced a pause/unpause is never waited on forever.
+  // finished. No-op without a background publisher (inline mode publishes before
+  // fsync/close return). It first re-arms a publish pass, so a queued file whose
+  // pass raced a pause/unpause is never waited on forever.
   void WaitForPublishes();
   // Files queued for async publication right now (router QoS gauge).
   size_t PublishQueueDepth() const {
     std::lock_guard<std::mutex> lg(publish_mu_);
     return publish_queue_.size();
   }
-  // True when publishes run asynchronously — on the private publisher thread or on
-  // the shared publisher pool.
+  // True when publishes run asynchronously, as passes on the publisher pool (owned
+  // or lent through Services).
   bool HasAsyncPublisher() const {
-    return publisher_.joinable() || UsePublisherPool();
+    return opts_.async_relink && opts_.publisher_thread;
   }
   // Pops everything currently queued and publishes it on the calling thread. Tenant
   // unmount drains through here (after stopping new enqueues) so queued publishes —
@@ -175,18 +175,17 @@ class SplitFs : public vfs::FileSystem {
   // deterministically with the publisher paused.
   void DrainQueuedPublishes();
 
-  // Test-only: parks the publisher (thread or pool pass) before it pops the next
-  // queue entry, so a crash test can build the acknowledged-but-unpublished state
-  // (intents fenced, relinks pending) deterministically and drive recovery through
-  // intent replay. StopPublisher overrides the pause so teardown never hangs.
+  // Test-only: parks the publisher pass before it pops the next queue entry, so a
+  // crash test can build the acknowledged-but-unpublished state (intents fenced,
+  // relinks pending) deterministically and drive recovery through intent replay.
+  // Teardown overrides the pause and publishes what is queued, so it never hangs.
   void set_publisher_paused_for_test(bool paused) {
     {
       std::lock_guard<std::mutex> lg(publish_mu_);
       publisher_paused_ = paused;
     }
-    publish_cv_.notify_all();
     if (!paused) {
-      SchedulePublishPass();  // Pool mode: re-arm a pass for anything queued.
+      SchedulePublishPass();  // Re-arm a pass for anything queued.
     }
   }
 
@@ -200,8 +199,6 @@ class SplitFs : public vfs::FileSystem {
     rename_race_hook_ = std::move(hook);
   }
 
-  // Historical test-entry name for DrainQueuedPublishes().
-  void DrainQueuedPublishesForTest() { DrainQueuedPublishes(); }
   const StagingPool& staging_pool() const { return *staging_; }
   ext4sim::Ext4Dax* kernel_fs() const { return kfs_; }
 
@@ -365,7 +362,6 @@ class SplitFs : public vfs::FileSystem {
   // whole-file lock exclusively.
   int LogRelinkIntents(FileState* fs);
   void EnqueuePublish(FileRef fs);
-  void PublisherLoop();
   // Publishes up to Options::publish_batch queued files under ONE journal commit:
   // per-file relink loops run with defer_commit, then a single CommitJournal seals
   // every file's relinks, then all dirty counts drop before any kRelinkDone append
@@ -375,18 +371,11 @@ class SplitFs : public vfs::FileSystem {
   // empty (the lock holder published them) — then the stale pending flag is cleared
   // and they are dropped.
   std::vector<FileRef> PublishBatch(std::vector<FileRef> batch);
-  void StopPublisher();
-  // True when async publishes run as registered passes on the shared publisher pool
-  // instead of a private thread.
-  bool UsePublisherPool() const {
-    return opts_.async_relink && opts_.publisher_thread &&
-           services_.publisher_pool != nullptr;
-  }
-  // Pool mode: registers a queue-deduplicated publish pass with the shared pool.
-  // No-op in thread/inline modes.
+  // Registers a queue-deduplicated publish pass with the publisher pool. No-op
+  // without a background publisher.
   void SchedulePublishPass();
-  // One shared-pool pass: drains the publish queue batch by batch, mirroring one
-  // PublisherLoop iteration per batch. Runs on a pool worker thread.
+  // One pool pass: drains the publish queue batch by batch (PublishBatch per
+  // batch). Runs on a publisher-pool worker thread.
   void PublishPassOnPool();
   int RelinkRun(FileState* fs, uint64_t file_off, const StagedRange& r);
   int CopyStagedRun(FileState* fs, const StagedRange& r);
@@ -466,6 +455,8 @@ class SplitFs : public vfs::FileSystem {
   sim::Context* ctx_;
   Options opts_;
   std::string tag_;
+  // services_.publisher_pool is the executor of the publish passes: the lent shared
+  // pool, or owned_publisher_pool_ when none was lent (set by the constructor).
   Services services_;
   // Ledger resource name for journal-credit throttling, per tenant.
   std::string journal_qos_resource_;
@@ -504,10 +495,9 @@ class SplitFs : public vfs::FileSystem {
   // staging pool. The queue holds FileRefs: a file torn down by unlink/rename while
   // queued stays alive until the publisher sees it is defunct and skips it.
   static constexpr size_t kMaxQueuedPublishes = 8;
-  std::thread publisher_;
   mutable std::mutex publish_mu_;
-  std::condition_variable publish_cv_;       // Publisher wakeup.
-  std::condition_variable publish_idle_cv_;  // Backpressure + completion fence.
+  // Backpressure, completion fence, and the contended-batch backoff of a pass.
+  std::condition_variable publish_idle_cv_;
   std::deque<FileRef> publish_queue_;
   size_t publishes_inflight_ = 0;  // Guarded by publish_mu_.
   bool publisher_stop_ = false;    // Guarded by publish_mu_.
@@ -521,6 +511,11 @@ class SplitFs : public vfs::FileSystem {
   std::array<obs::LatencyHistogram, kOpKindCount> op_hist_;
 
   std::function<void()> rename_race_hook_;  // Test-only; see the setter.
+
+  // Single-tenant publisher executor (1 worker). Declared last so it is destroyed
+  // first: the destructor has drained it, and its worker never outlives the state
+  // a pass touches.
+  std::unique_ptr<common::ServicePool> owned_publisher_pool_;
 };
 
 }  // namespace splitfs

@@ -30,27 +30,20 @@ StagingPool::StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options&
       SPLITFS_CHECK(CreateStageFileLocked(CreateMode::kForeground));
     }
   }
-  // Shared-pool replenishment substitutes for the private thread; with neither,
-  // the deterministic inline fallback stands in.
-  if (opts_.replenish_thread && !UseReplenishPool()) {
-    replenisher_ = std::thread([this] { ReplenishLoop(); });
+  if (opts_.replenish_thread && services_.replenisher_pool == nullptr) {
+    owned_replenisher_pool_ =
+        std::make_unique<common::ServicePool>("staging.replenisher");
+    services_.replenisher_pool = owned_replenisher_pool_.get();
   }
 }
 
 StagingPool::~StagingPool() {
-  if (replenisher_.joinable()) {
+  if (opts_.replenish_thread) {
     {
       std::lock_guard<std::mutex> pl(pool_mu_);
       stop_ = true;
     }
-    replenish_cv_.notify_all();
-    replenisher_.join();
-  } else if (UseReplenishPool()) {
-    {
-      std::lock_guard<std::mutex> pl(pool_mu_);
-      stop_ = true;
-    }
-    // Fence our replenish jobs out of the shared pool before tearing down the
+    // Fence our replenish passes out of the executor before tearing down the
     // queues they push into.
     services_.replenisher_pool->Drain(reinterpret_cast<uint64_t>(this));
   }
@@ -78,8 +71,8 @@ StagingPool::Lane& StagingPool::LaneOfThisThread() {
 bool StagingPool::CreateStageFile(CreateMode mode, StageFile* out) {
   // Deterministic background mode: the work happens inline (same store sequence
   // every run) but is attributed to the §3.5 background thread — the charge is
-  // rewound and no resource stamp accumulates it, exactly as when the real
-  // replenisher (which has no lane) does it.
+  // rewound and no resource stamp accumulates it, exactly as when a replenisher
+  // pass (whose worker has no lane) does it.
   std::optional<sim::ScopedOffClock> off;
   if (mode == CreateMode::kBackgroundInline) {
     off.emplace(&ctx_->clock);
@@ -161,8 +154,8 @@ void StagingPool::ConsumeActiveLocked(Lane* lane) {
     consumed_.push_back(std::move(sf));
   }
   // Trigger the replacement now, so the pool's working set stays at its configured
-  // size. Deterministic mode creates it inline (cost rewound); thread and
-  // shared-pool modes wake their replenisher. When the spare queue is already empty
+  // size. Deterministic mode creates it inline (cost rewound); background mode
+  // registers a replenish pass. When the spare queue is already empty
   // the next refill creates the file in the foreground — same as the
   // pre-concurrency pool.
   if (opts_.replenish_thread) {
@@ -172,63 +165,31 @@ void StagingPool::ConsumeActiveLocked(Lane* lane) {
   }
 }
 
-bool StagingPool::UseReplenishPool() const {
-  return opts_.replenish_thread && services_.replenisher_pool != nullptr;
-}
-
 void StagingPool::KickReplenisherLocked() {
   if (!opts_.replenish_thread) {
     return;
   }
-  if (UseReplenishPool()) {
-    // Queued-pass dedup: one pending pass tops the queue up however far it has
-    // drained by the time a worker runs it.
-    services_.replenisher_pool->Submit(reinterpret_cast<uint64_t>(this),
-                                       [this] { ReplenishPassOnPool(); },
-                                       /*dedup_queued=*/true);
-    return;
-  }
-  replenish_cv_.notify_one();
+  // Queued-pass dedup: one pending pass tops the queue up however far it has
+  // drained by the time a worker runs it.
+  services_.replenisher_pool->Submit(reinterpret_cast<uint64_t>(this),
+                                     [this] { ReplenishPassOnPool(); },
+                                     /*dedup_queued=*/true);
 }
 
 void StagingPool::ReplenishPassOnPool() {
   std::unique_lock<std::mutex> ul(pool_mu_);
   while (!stop_ && spare_.size() < opts_.num_staging_files) {
-    // Same shape as ReplenishLoop: the kernel work runs outside pool_mu_ so
-    // foreground refills are never stalled behind a background create.
+    // Create outside pool_mu_: the kernel work (open + fallocate + map) is the slow
+    // part, and holding the pool lock across it would stall every foreground
+    // refill — the §3.5 critical-path cost this pass exists to absorb.
     ul.unlock();
     StageFile sf;
-    bool ok = CreateStageFile(CreateMode::kBackgroundThread, &sf);
+    bool ok = CreateStageFile(CreateMode::kBackgroundPass, &sf);
     ul.lock();
     if (!ok) {
       return;  // Out of space; foreground allocations will surface ENOSPC.
     }
     spare_.push_back(std::move(sf));
-  }
-}
-
-void StagingPool::ReplenishLoop() {
-  std::unique_lock<std::mutex> ul(pool_mu_);
-  while (true) {
-    replenish_cv_.wait(ul, [this] {
-      return stop_ || spare_.size() < opts_.num_staging_files;
-    });
-    if (stop_) {
-      return;
-    }
-    while (!stop_ && spare_.size() < opts_.num_staging_files) {
-      // Create outside pool_mu_: the kernel work (open + fallocate + map) is the
-      // slow part, and holding the pool lock across it would stall every foreground
-      // refill — the §3.5 critical-path cost this thread exists to absorb.
-      ul.unlock();
-      StageFile sf;
-      bool ok = CreateStageFile(CreateMode::kBackgroundThread, &sf);
-      ul.lock();
-      if (!ok) {
-        break;  // Out of space; foreground allocations will surface ENOSPC.
-      }
-      spare_.push_back(std::move(sf));
-    }
   }
 }
 

@@ -9,11 +9,12 @@
 //     touching any shared state, so concurrent appends to different files never
 //     contend on the pool;
 //   * replenishes consumed files off the critical path (the paper's §3.5 background
-//     thread). Two modes: with Options::replenish_thread a real std::thread keeps the
-//     shared spare-file queue full; without it (the default) the replacement is
-//     created inline but its cost is rewound off the foreground clock — equivalent
-//     accounting with a fully deterministic store sequence, which the crash harness
-//     depends on.
+//     thread). One executor, two modes: with Options::replenish_thread, top-up
+//     passes run on a common::ServicePool — the one lent through Services, or a
+//     1-worker pool the instance owns — and keep the shared spare-file queue full;
+//     without it (the default) the replacement is created inline but its cost is
+//     rewound off the foreground clock — equivalent accounting with a fully
+//     deterministic store sequence, which the crash harness depends on.
 //
 // Lock order inside the pool: lane.mu, then pool_mu_. Both are leaves with respect to
 // the rest of the stack (the pool calls into K-Split while holding them, never the
@@ -22,15 +23,15 @@
 #define SRC_CORE_STAGING_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "src/common/service_pool.h"
 #include "src/core/mmap_cache.h"
 #include "src/core/options.h"
 #include "src/ext4/ext4_dax.h"
@@ -50,8 +51,8 @@ class StagingPool {
  public:
   // `instance_tag` keeps staging namespaces of concurrent U-Split instances apart.
   // `services` (optional) wires the pool into a multi-tenant deployment: with
-  // `replenisher_pool` set (and Options::replenish_thread on), replenishment jobs
-  // are registered with the shared pool instead of spawning a private thread; with
+  // `replenisher_pool` set (and Options::replenish_thread on), replenishment passes
+  // run on the shared pool instead of a 1-worker pool of our own; with
   // `staging_tokens` set, each staging file a lane takes costs one token, pacing
   // the tenant's staging consumption on its own timeline.
   StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options& opts,
@@ -103,6 +104,9 @@ class StagingPool {
 
   uint64_t MemoryUsageBytes() const;
 
+  // K-Split directory holding this pool's staging files.
+  const std::string& dir() const { return dir_; }
+
  private:
   struct StageFile {
     vfs::Ino ino = vfs::kInvalidIno;
@@ -123,10 +127,10 @@ class StagingPool {
   enum class CreateMode {
     kForeground,        // Cost on the caller's clock (startup, pool exhaustion).
     kBackgroundInline,  // Cost rewound off the caller's clock (deterministic mode).
-    kBackgroundThread,  // Created by the replenisher thread; its charges land on the
-                        // shared (non-lane) timeline, which lane-based measurements
-                        // ignore — the §3.5 point: the cost is off every app thread's
-                        // critical path.
+    kBackgroundPass,    // Created by a replenisher-pool pass; pool workers carry no
+                        // clock lane, so the charges land on the shared timeline,
+                        // which lane-based measurements ignore — the §3.5 point: the
+                        // cost is off every app thread's critical path.
   };
 
   Lane& LaneOfThisThread();
@@ -146,19 +150,17 @@ class StagingPool {
   uint64_t DevOffsetOf(const StageFile& sf, uint64_t file_off) const;
   // Closes + unlinks a fully-released consumed file, off the foreground clock.
   void Retire(StageFile* sf);
-  void ReplenishLoop();
-  // True when background replenishment runs on the shared service pool instead of
-  // a private thread.
-  bool UseReplenishPool() const;
-  // One shared-pool pass: tops the spare queue back up to the configured size.
+  // One replenisher-pool pass: tops the spare queue back up to the configured size.
   void ReplenishPassOnPool();
-  // Wakes whichever replenisher this pool has (private thread or shared pool).
+  // Registers a queue-deduplicated replenish pass. No-op in inline mode.
   void KickReplenisherLocked();
 
   ext4sim::Ext4Dax* kfs_;
   MmapCache* mmaps_;
   sim::Context* ctx_;
   Options opts_;
+  // services_.replenisher_pool is the executor of the replenish passes: the lent
+  // shared pool, or owned_replenisher_pool_ when none was lent.
   Services services_;
   std::string dir_;
   // Ledger resource name for staging-token throttling, per tenant.
@@ -175,10 +177,12 @@ class StagingPool {
   std::atomic<uint64_t> background_creations_{0};
   std::atomic<uint64_t> files_retired_{0};
 
-  // §3.5 replenisher (Options::replenish_thread).
-  std::thread replenisher_;
-  std::condition_variable replenish_cv_;
-  bool stop_ = false;  // Guarded by pool_mu_.
+  bool stop_ = false;  // Guarded by pool_mu_; ends a running replenish pass early.
+
+  // Single-tenant replenisher executor (1 worker). Declared last so it is destroyed
+  // first: the destructor has drained it, and its worker never outlives the state
+  // a pass touches.
+  std::unique_ptr<common::ServicePool> owned_replenisher_pool_;
 };
 
 }  // namespace splitfs

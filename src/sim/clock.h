@@ -263,8 +263,9 @@ class ResourceStamp {
 // epoch-reclaimed snapshots, the deterministic inline mode of the async relink
 // publisher. The elapsed virtual charge is rewound on destruction, so foreground
 // timelines are identical whether the background work runs inline (deterministic
-// store sequence, what the crash harness needs) or on a real thread (whose charges
-// land on the shared timeline that lane-based measurements ignore).
+// store sequence, what the crash harness needs) or as a pass on a service-pool
+// worker (whose charges land on the shared timeline that lane-based measurements
+// ignore).
 class ScopedOffClock {
  public:
   explicit ScopedOffClock(Clock* clock) : clock_(clock), t0_(clock->Now()) {

@@ -21,7 +21,7 @@ TenantRouter::TenantRouter(ext4sim::Ext4Dax* kfs, RouterOptions ropts)
 
 TenantRouter::~TenantRouter() {
   // Tear tenants down while the pools are still alive: each instance's teardown
-  // drains its registered passes (StopPublisher -> pool Drain). Gauges read
+  // drains its registered passes (~SplitFs / ~StagingPool -> pool Drain). Gauges read
   // through tenant state, so they go first.
   {
     std::unique_lock<std::shared_mutex> tl(tenants_mu_);

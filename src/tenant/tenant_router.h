@@ -9,11 +9,12 @@
 // that maps each handed-out fd to its tenant and inner descriptor, and goes stale
 // (EBADF) the moment the tenant unmounts.
 //
-// Service threads are the point: a per-instance publisher + replenisher thread
-// model burns 2N threads for N tenants. The router owns three bounded pools — one
-// publisher pool, one staging-replenisher pool, one journal-commit service — and
-// every mounted instance registers work with them instead of spawning threads, so
-// 64 tenants (or thousands) run on ServiceThreads() == 3 by default.
+// Service threads are the point: a standalone SplitFs owns a 1-worker pool per
+// background service, which burns 2N threads for N tenants. The router owns three
+// bounded pools — one publisher pool, one staging-replenisher pool, one
+// journal-commit service — and lends them to every mounted instance, which then
+// owns none of its own, so 64 tenants (or thousands) run on ServiceThreads() == 3
+// by default.
 //
 // QoS: per-tenant token buckets pace the two shared amplifiers — staging-file
 // consumption and foreground journal commits — on the tenant's own virtual
@@ -23,8 +24,8 @@
 // Zero rates mean unlimited.
 //
 // Determinism caveat: shared pool workers interleave tenants' background publishes
-// in real-time arrival order, exactly like the private publisher thread they
-// replace. Crash cells that need a deterministic store sequence run with
+// in real-time arrival order, exactly like a standalone instance's own publisher
+// pool. Crash cells that need a deterministic store sequence run with
 // RouterOptions::journal_service off and publishers paused, and drain through
 // DrainAllPublishes() on the test thread.
 #ifndef SRC_TENANT_TENANT_ROUTER_H_

@@ -1,14 +1,20 @@
-// Unit tests for src/common: checksum, RNG/zipfian, byte helpers, Expected, and the
-// epoch-based reclamation machinery (batched retire-list sweeps).
+// Unit tests for src/common: checksum, RNG/zipfian, byte helpers, Expected, the
+// epoch-based reclamation machinery (batched retire-list sweeps), and the
+// ServicePool background executor (queued-job dedup, drain, worker identity).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/checksum.h"
 #include "src/common/epoch.h"
 #include "src/common/random.h"
+#include "src/common/service_pool.h"
 #include "src/common/status.h"
 
 namespace {
@@ -180,6 +186,75 @@ TEST(EpochGc, DrainSpinsToFullQuiescence) {
   list->Drain();
   EXPECT_EQ(live, 0);
   delete list;
+}
+
+// --- ServicePool ---------------------------------------------------------------------
+
+TEST(ServicePool, DedupDropsSubmitOnlyWhileATwinIsQueued) {
+  common::ServicePool pool("test.dedup", 1);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<int> runs{0};
+  pool.Submit(1, [&] {
+    started.set_value();
+    gate.wait();
+    runs.fetch_add(1);
+  });
+  started.get_future().wait();  // The first job is running, not queued.
+  // A running twin never absorbs a submit: the running job may have sampled state
+  // from before the caller's update.
+  pool.Submit(1, [&] { runs.fetch_add(10); }, /*dedup_queued=*/true);
+  EXPECT_EQ(pool.QueueDepth(), 1u);
+  // Now a twin is queued: this submit is dropped...
+  pool.Submit(1, [&] { runs.fetch_add(100); }, /*dedup_queued=*/true);
+  EXPECT_EQ(pool.QueueDepth(), 1u);
+  // ...but only for the same key.
+  pool.Submit(2, [&] { runs.fetch_add(1000); }, /*dedup_queued=*/true);
+  EXPECT_EQ(pool.QueueDepth(), 2u);
+  release.set_value();
+  pool.DrainAll();
+  EXPECT_EQ(runs.load(), 1 + 10 + 1000);
+}
+
+TEST(ServicePool, DrainWaitsForJobsSubmittedByRunningJobs) {
+  common::ServicePool pool("test.drain", 2);
+  std::atomic<bool> last_done{false};
+  // A chain of three jobs, each submitted by the previous one while it runs. The
+  // key never goes quiet in between, so Drain must wait for the whole chain.
+  pool.Submit(7, [&] {
+    pool.Submit(7, [&] {
+      pool.Submit(7, [&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        last_done.store(true);
+      });
+    });
+  });
+  pool.Drain(7);
+  EXPECT_TRUE(last_done.load());
+}
+
+TEST(ServicePool, OnWorkerThreadOnlyInsideAJobOfThatPool) {
+  common::ServicePool a("test.a", 1);
+  common::ServicePool b("test.b", 1);
+  EXPECT_FALSE(a.OnWorkerThread());
+  EXPECT_FALSE(b.OnWorkerThread());
+  std::atomic<int> in_a{-1}, b_from_a{-1}, in_b{-1}, a_from_b{-1};
+  a.Submit(1, [&] {
+    in_a.store(a.OnWorkerThread());
+    b_from_a.store(b.OnWorkerThread());
+  });
+  b.Submit(1, [&] {
+    in_b.store(b.OnWorkerThread());
+    a_from_b.store(a.OnWorkerThread());
+  });
+  a.Drain(1);
+  b.Drain(1);
+  EXPECT_EQ(in_a.load(), 1);
+  EXPECT_EQ(b_from_a.load(), 0);
+  EXPECT_EQ(in_b.load(), 1);
+  EXPECT_EQ(a_from_b.load(), 0);
+  EXPECT_FALSE(a.OnWorkerThread());  // The caller is never a worker.
 }
 
 }  // namespace

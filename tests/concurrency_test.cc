@@ -15,8 +15,9 @@
 //   * counter integrity (relinks, staging pool) under concurrency.
 //
 // Every suite runs twice per mode: synchronous publication and the async relink
-// publisher (Options::async_relink + a real publisher thread), so the TSan pass of
-// scripts/check.sh exercises the intent-log/publish/fence protocol.
+// publisher (Options::async_relink + publisher passes on the instance's own pool),
+// so the TSan pass of scripts/check.sh exercises the intent-log/publish/fence
+// protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,10 +50,10 @@ Options ConcurrentOptions(Mode mode, bool async_publish) {
   o.num_staging_files = 4;
   o.staging_file_bytes = 8 * kMiB;
   o.oplog_bytes = 4 * kMiB;
-  o.replenish_thread = true;  // Exercise the real §3.5 replenisher under TSan.
+  o.replenish_thread = true;  // Exercise the background §3.5 replenisher under TSan.
   if (async_publish) {
     o.async_relink = true;
-    o.publisher_thread = true;  // The real background publisher, under TSan too.
+    o.publisher_thread = true;  // The background publisher pool, under TSan too.
   }
   return o;
 }
@@ -434,6 +435,48 @@ TEST(AsyncRelinkCheckpoint, LogFullCheckpointDoesNotDeadlockAndKeepsData) {
     }
     ASSERT_EQ(fs.Close(fd), 0);
     ASSERT_EQ(fs.Close(afd), 0);
+  }
+}
+
+// --- Single-tenant teardown on the owned publisher pool ------------------------------
+
+TEST(OwnedPublisherPool, TeardownWhilePausedPublishesAckedData) {
+  // No Services binding: the instance runs its publish passes on a pool it owns.
+  // Destroying it while the publisher is paused must still publish every queued
+  // file — its fsync already acknowledged the bytes — so a fresh instance mounted
+  // on the same K-Split (no recovery) reads them back.
+  for (Mode mode : {Mode::kPosix, Mode::kStrict}) {
+    sim::Context ctx;
+    pmem::Device dev(&ctx, 256 * kMiB);
+    ext4sim::Ext4Dax kfs(&dev);
+    Options o = ConcurrentOptions(mode, /*async_publish=*/true);
+    std::vector<uint8_t> data(3 * kBlockSize + 123);
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<uint8_t>(0x5C ^ (i * 29));
+    }
+    {
+      SplitFs fs(&kfs, o);
+      ASSERT_TRUE(fs.HasAsyncPublisher());
+      fs.set_publisher_paused_for_test(true);
+      int fd = fs.Open("/owned", vfs::kRdWr | vfs::kCreate);
+      ASSERT_GE(fd, 0);
+      ASSERT_EQ(fs.Write(fd, data.data(), data.size()),
+                static_cast<ssize_t>(data.size()));
+      ASSERT_EQ(fs.Fsync(fd), 0);  // Acked at the intent fence; publish queued.
+      EXPECT_EQ(fs.PublishQueueDepth(), 1u) << ModeName(mode);
+      EXPECT_EQ(fs.Relinks(), 0u) << "publisher ran despite the pause";
+    }  // Destroyed while paused, with the descriptor still open.
+    SplitFs fresh(&kfs, o);
+    int rfd = fresh.Open("/owned", vfs::kRdOnly);
+    ASSERT_GE(rfd, 0);
+    vfs::StatBuf st;
+    ASSERT_EQ(fresh.Fstat(rfd, &st), 0);
+    EXPECT_EQ(st.size, data.size()) << ModeName(mode);
+    std::vector<uint8_t> back(data.size());
+    ASSERT_EQ(fresh.Pread(rfd, back.data(), back.size(), 0),
+              static_cast<ssize_t>(back.size()));
+    EXPECT_EQ(back, data) << ModeName(mode);
+    ASSERT_EQ(fresh.Close(rfd), 0);
   }
 }
 

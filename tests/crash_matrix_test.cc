@@ -617,7 +617,7 @@ BatchCrashOutcome RunBatchedPublishCrashState(uint64_t store_ordinal,
       {crash::CrashPoint::Trigger::kAfterStore, store_ordinal});
   w->dev->SetObserver(&injector);
   try {
-    fs->DrainQueuedPublishesForTest();
+    fs->DrainQueuedPublishes();
   } catch (const crash::CrashSignal&) {
     out.crashed = true;
   }

@@ -188,6 +188,41 @@ TEST(SplitFsCrash, RecoveredInstanceKeepsServing) {
   EXPECT_EQ(back, fresh);
 }
 
+// Recovery unlinks every file the old staging pool left behind and rebuilds the
+// pool under the instance's own tag. With the default ten 160 MiB staging files a
+// 2 GiB device holds only one pool's worth, so leaking the old pool's files would
+// fail the rebuild with ENOSPC.
+TEST(SplitFsCrash, RepeatedRecoveryReusesStagingSpace) {
+  sim::Context ctx;
+  pmem::Device dev(&ctx, 2 * common::kGiB);
+  ext4sim::Ext4Dax kfs(&dev);
+  splitfs::Options o;
+  o.mode = Mode::kStrict;
+  splitfs::SplitFs fs(&kfs, o);
+  const std::string dir = fs.staging_pool().dir();
+  for (int round = 0; round < 3; ++round) {
+    int fd = fs.Open("/r" + std::to_string(round), vfs::kRdWr | vfs::kCreate);
+    ASSERT_GE(fd, 0);
+    auto data = Pattern(2 * kBlockSize, static_cast<uint8_t>(round));
+    ASSERT_EQ(fs.Pwrite(fd, data.data(), data.size(), 0),
+              static_cast<ssize_t>(data.size()));
+    ASSERT_EQ(kfs.Recover(), 0);
+    ASSERT_EQ(fs.Recover(), 0) << "round " << round;
+    EXPECT_EQ(fs.staging_pool().dir(), dir);
+    std::vector<std::string> names;
+    ASSERT_EQ(kfs.ReadDir(dir, &names), 0);
+    EXPECT_EQ(names.size(), o.num_staging_files) << "round " << round;
+    // The strict-mode write was logged, so replay published it.
+    int rfd = fs.Open("/r" + std::to_string(round), vfs::kRdOnly);
+    ASSERT_GE(rfd, 0);
+    std::vector<uint8_t> back(data.size());
+    ASSERT_EQ(fs.Pread(rfd, back.data(), back.size(), 0),
+              static_cast<ssize_t>(back.size()));
+    EXPECT_EQ(back, data) << "round " << round;
+    ASSERT_EQ(fs.Close(rfd), 0);
+  }
+}
+
 // §5.3 methodology: run the same operation sequence against plain ext4-DAX and
 // against SplitFS (with fsyncs), then compare the resulting file-system states.
 TEST(SplitFsCorrectness, StateMatchesExt4AfterMixedWorkload) {
