@@ -77,10 +77,11 @@ splitfs::Options ConcurrentOptions() {
   // here the whole point is concurrency.)
   o.replenish_thread = true;
   // Async relink publication: fsync returns once the relink intent is fenced; the
-  // relink ioctls and their journal commit leave the workers' critical path. The
-  // deterministic inline publisher (cost rewound, same accounting as a background
-  // pass) keeps every cell reproducible run-to-run; the background publisher pool
-  // is exercised under TSan by the concurrency test suite.
+  // relink ioctls and their journal commit leave the workers' critical path. With
+  // no publisher pool the fsyncing worker runs the publish pass itself, cost
+  // rewound (the same accounting as a pool pass), which keeps every cell
+  // reproducible run-to-run; the pool executor is exercised under TSan by the
+  // concurrency test suite.
   o.async_relink = true;
   // Pre-size the pool for the 16-thread sweep point (16 lanes x one 16 MiB active
   // file): pool exhaustion mid-run would serialize every worker behind foreground
@@ -151,7 +152,6 @@ wl::ParallelResult RunFsyncStorm(Testbed* bed, int threads) {
 //      reconcile with the reported elapsed within 5%.
 int WriteStormTrace(const std::string& path) {
   splitfs::Options o = StormOptions();
-  o.tracing = true;
   ext4sim::Ext4Options eo;
   eo.commit_interval_ns = 20'000;
   Testbed bed(FsKind::kSplitSync, 2 * common::kGiB, o, eo);

@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
 
   splitfs::Options opts;
   opts.mode = splitfs::Mode::kSync;
-  opts.tracing = true;  // Op entry/exit spans on; still zero clock effect.
   splitfs::SplitFs fs(&kernel_fs, opts);
 
   // Startup (staging pre-allocation, journal init) is not part of the tour: zero the

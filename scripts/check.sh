@@ -26,7 +26,10 @@
 # silently bit-rot against API changes. It finishes with the fsync-storm bench
 # smoke: bench_scalability --trace (commit-coalescing + trace-reconciliation
 # self-check), --schema-check (BENCH_scalability.json schema), and --repeat-check
-# (determinism gates: posix append + the shared-hot-file range-lock cells).
+# (determinism gates: posix append + the shared-hot-file range-lock cells). Last,
+# one round of each splitbench workload (splitbench/run.py), which builds its own
+# copy of src/ — the ctest build never compiles splitbench/, so this is the step
+# that catches a src/ API change breaking the benchmark.
 #
 # Extra arguments are forwarded to ctest.
 set -euo pipefail
@@ -102,3 +105,7 @@ trap 'rm -f "$storm_trace"' EXIT
 # schema_version-2 shape (per-tenant latency percentiles, contention ledger,
 # qos_on/qos_off degradation factors).
 ./build/bench_multitenant --schema-check
+# splitbench smoke: one round per workload at a fixed seed. Exits nonzero on a
+# build failure, a failed output check, or a metric list that differs from
+# BENCHMARK.json.
+python3 splitbench/run.py --repeat 1 --seed 7 --seconds 0

@@ -1,13 +1,15 @@
-// Bounded service-thread pool: the one executor of background work.
+// Bounded service-thread pool: the background executor of U-Split's services.
 //
-// Every background service (the async relink publisher, the staging replenisher,
-// the journal-commit service) runs either inline on the caller — deterministic, cost
-// rewound — or as passes on a ServicePool. A fixed handful of workers serve jobs
+// The async relink publisher and the staging replenisher each have one pass, run
+// either by a ServicePool worker or — with no pool — by the caller under
+// sim::ScopedOffClock (deterministic, cost rewound). The journal-commit service
+// keeps a separate inline commit path: its pool pass binds a clock lane, while the
+// inline commit is a foreground jbd2 commit. A fixed handful of workers serve jobs
 // that any number of client instances *register* with, keyed by client so one
 // client's teardown can fence exactly its own work. A single-tenant SplitFs owns a
-// 1-worker pool per enabled service; the tenant router owns three shared pools
-// (publisher, staging replenisher, journal commit) that every mounted tenant
-// borrows — total service threads are O(pools), not O(tenants).
+// 1-worker pool per service its Options background; the tenant router owns three
+// shared pools (publisher, staging replenisher, journal commit) that every mounted
+// tenant borrows — total service threads are O(pools), not O(tenants).
 //
 // Simulation note: pool workers bind no sim::Clock::Lane, so their virtual-time
 // charges land on the shared timeline that lane-based measurements ignore. Whether

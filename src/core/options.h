@@ -45,13 +45,13 @@ struct Options {
   // allocates the same byte sequence as the pre-concurrency pool.
   uint32_t staging_lanes = 16;
 
-  // Run §3.5 replenishment in the background: top-up passes on a
-  // common::ServicePool (Services::replenisher_pool, or a 1-worker pool the
-  // instance owns when none is lent) pre-create staging files off the critical
-  // path. Off by default: the replacement is then created inline with its cost
-  // rewound — equivalent accounting with the fully deterministic store sequence the
-  // crash harness and the single-threaded tests require. Multithreaded benches and
-  // the concurrency tests turn it on.
+  // Who runs the §3.5 replenish pass, which tops the spare staging files back up.
+  // On: a common::ServicePool worker (Services::replenisher_pool, or a 1-worker
+  // pool the instance owns when none is lent), kicked at every refill and consume,
+  // off the critical path. Off (the default): the thread that consumes a staging
+  // file runs the same pass with its cost rewound — equivalent accounting with the
+  // fully deterministic store sequence the crash harness and the single-threaded
+  // tests require. Multithreaded benches and the concurrency tests turn it on.
   bool replenish_thread = false;
 
   // Operation log (strict mode): zeroed pre-allocated file; one 64 B entry per op;
@@ -66,14 +66,15 @@ struct Options {
   // from the moment the intent is fenced. Off by default: the synchronous publish
   // path stays byte-identical for the crash matrix and every deterministic test.
   bool async_relink = false;
-  // Run the publisher in the background: publish passes on a common::ServicePool
-  // (Services::publisher_pool, or a 1-worker pool the instance owns when none is
-  // lent) drain the publish queue, so the relink ioctls and their journal commit
-  // leave the application threads' critical path (pool workers carry no clock
-  // lane; their charges land on the shared timeline). Off by default — the
-  // deferred publish then runs inline at the end of fsync with its cost rewound
-  // (sim::ScopedOffClock): equivalent accounting with a fully deterministic store
-  // sequence, which the async crash-matrix column depends on.
+  // Who runs the publish pass, which drains the async-relink publish queue. On: a
+  // common::ServicePool worker (Services::publisher_pool, or a 1-worker pool the
+  // instance owns when none is lent), so the relink ioctls and their journal
+  // commit leave the application threads' critical path (pool workers carry no
+  // clock lane; their charges land on the shared timeline). Off (the default): the
+  // fsync or close that queued the file runs the same pass right after dropping
+  // the file lock, with its cost rewound (sim::ScopedOffClock) — equivalent
+  // accounting with a fully deterministic store sequence, which the async
+  // crash-matrix column depends on.
   bool publisher_thread = false;
   // How many queued files one publish batch drains under ONE kernel journal commit
   // (a pass runs batches until the queue is empty). 1 = one commit per file (the
@@ -82,15 +83,9 @@ struct Options {
   // completion fence, so a batch in flight always finishes under its single commit
   // before the op log resets. 0 = auto: each batch takes the whole queue as it
   // stands — the batch sizes itself from queue depth, so a deeper backlog
-  // amortizes into fewer commits without tuning. Ignored by the inline
-  // (publisher_thread=false) publisher, which is deterministic per call by design.
+  // amortizes into fewer commits without tuning. Either executor honours it; a
+  // caller-run pass usually finds only the caller's own file queued.
   uint32_t publish_batch = 1;
-
-  // Record virtual-time spans (op entry/exit, journal seal/writeout, publisher
-  // drains) into the context's tracer, and per-op latency histograms, when the
-  // tracer is enabled. Purely observational: the obs layer never touches the clock,
-  // so timelines are identical with this on or off.
-  bool tracing = false;
 
   // Directory (on K-Split) for staging files and the op log.
   std::string runtime_dir = "/.splitfs";
@@ -105,12 +100,12 @@ struct Options {
 
 // Shared-service wiring for multi-tenant deployments (src/tenant/). All pointers
 // are borrowed (the tenant router outlives every instance it mounts) and all
-// default to null, which means "own your services". Background work has one
-// executor either way: it runs inline (deterministic, cost rewound) or as passes
-// on a common::ServicePool. A lent pool carries the passes of every tenant; with
-// none, an instance that enables a background service (publisher_thread,
-// replenish_thread) owns a 1-worker pool for it. With a token bucket set,
-// foreground admission to that service is paced on the caller's virtual timeline.
+// default to null, which means "own your services". Each background service has
+// one pass, run by a pool worker or by the caller (deterministic, cost rewound).
+// A lent pool carries the passes of every tenant that enables the service
+// (publisher_thread, replenish_thread); with none, such an instance owns a
+// 1-worker pool for it. With a token bucket set, foreground admission to that
+// service is paced on the caller's virtual timeline.
 struct Services {
   common::ServicePool* publisher_pool = nullptr;
   common::ServicePool* replenisher_pool = nullptr;

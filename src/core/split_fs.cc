@@ -109,7 +109,11 @@ SplitFs::SplitFs(ext4sim::Ext4Dax* kfs, Options opts, const std::string& instanc
   SPLITFS_CHECK(fd >= 0);
   SPLITFS_CHECK_OK(kfs_->Fsync(fd));
   SPLITFS_CHECK_OK(kfs_->Close(fd));
-  if (HasAsyncPublisher() && services_.publisher_pool == nullptr) {
+  // The publish executor: a pool worker when the publisher is backgrounded, else
+  // the caller (null pool).
+  if (!opts_.async_relink || !opts_.publisher_thread) {
+    services_.publisher_pool = nullptr;
+  } else if (services_.publisher_pool == nullptr) {
     owned_publisher_pool_ = std::make_unique<common::ServicePool>("splitfs.publisher");
     services_.publisher_pool = owned_publisher_pool_.get();
   }
@@ -170,19 +174,19 @@ void SplitFs::RegisterGauges() {
 SplitFs::~SplitFs() {
   // Gauges read through `this`; drop them before any member state goes away.
   ctx_->obs.metrics.DeregisterGauges(tag_ + ".");
-  if (HasAsyncPublisher()) {
-    {
-      std::lock_guard<std::mutex> lg(publish_mu_);
-      publisher_stop_ = true;     // Unblocks backpressure waiters; stops enqueues.
-      publisher_paused_ = false;  // Teardown overrides a test pause.
-    }
-    publish_idle_cv_.notify_all();
-    // Fence the executor: after Drain no pass of ours is queued or running. Anything
-    // still queued (e.g. enqueued while the pass was paused) publishes on this
-    // thread — staged data promised by fsync must reach K-Split.
-    services_.publisher_pool->Drain(reinterpret_cast<uint64_t>(this));
-    DrainQueuedPublishes();
+  {
+    std::lock_guard<std::mutex> lg(publish_mu_);
+    publisher_stop_ = true;     // Unblocks backpressure waiters; stops enqueues.
+    publisher_paused_ = false;  // Teardown overrides a test pause.
   }
+  publish_idle_cv_.notify_all();
+  // Fence the executor: after Drain no pass of ours is queued or running. Anything
+  // still queued (e.g. enqueued while the pass was paused) publishes on this
+  // thread — staged data promised by fsync must reach K-Split.
+  if (HasAsyncPublisher()) {
+    services_.publisher_pool->Drain(reinterpret_cast<uint64_t>(this));
+  }
+  DrainQueuedPublishes();
   for (FileShard& shard : file_shards_) {
     for (auto& [ino, fs] : shard.map) {
       if (fs->kernel_fd >= 0) {
@@ -1313,8 +1317,8 @@ int SplitFs::PublishStaged(FileState* fs, bool log_done, bool defer_commit) {
       return 0;
     }
   }
-  obs::ScopedSpan span(opts_.tracing ? &ctx_->obs.tracer : nullptr, &ctx_->clock,
-                       "publish", "splitfs.publish", "ino", fs->ino);
+  obs::ScopedSpan span(&ctx_->obs.tracer, &ctx_->clock, "publish", "splitfs.publish",
+                       "ino", fs->ino);
   analysis::ScopedLintSite lint("splitfs.publish");
   if (opts_.mode != Mode::kStrict || !log_done) {
     // Drain pending non-temporal stores before making the data reachable. A normal
@@ -1426,23 +1430,9 @@ int SplitFs::PublishOrIntend(FileState* fs, bool* enqueue) {
   if (rc != 0) {
     return rc;
   }
-  bool was_pending;
-  {
-    std::lock_guard<std::mutex> meta(fs->meta_mu);
-    was_pending = fs->publish_pending;
-    fs->publish_pending = true;
-  }
-  if (!opts_.publisher_thread) {
-    // Deterministic inline mode: the publish really happens here — same store and
-    // fence sequence every run, which the crash matrix depends on — but its cost is
-    // rewound off the foreground clock, modeling the background publisher.
-    sim::ScopedOffClock off(&ctx_->clock);
-    rc = PublishStaged(fs);
-    std::lock_guard<std::mutex> meta(fs->meta_mu);
-    fs->publish_pending = false;
-    return rc;
-  }
-  *enqueue = !was_pending;  // Already queued: the pending publish covers our runs.
+  std::lock_guard<std::mutex> meta(fs->meta_mu);
+  *enqueue = !fs->publish_pending;  // Already queued: the pending publish covers our runs.
+  fs->publish_pending = true;
   return 0;
 }
 
@@ -1614,26 +1604,29 @@ std::vector<SplitFs::FileRef> SplitFs::PublishBatch(std::vector<FileRef> batch) 
 
 void SplitFs::SchedulePublishPass() {
   if (!HasAsyncPublisher()) {
+    // The pass really runs here, but its cost belongs to the background publisher.
+    sim::ScopedOffClock off(&ctx_->clock);
+    PublishPass(/*drain=*/false);
     return;
   }
   // Deduplicated against a QUEUED (not running) pass: a running pass may have
   // emptied its view of the queue already, so a fresh enqueue needs a fresh pass.
   services_.publisher_pool->Submit(reinterpret_cast<uint64_t>(this),
-                                   [this] { PublishPassOnPool(); },
+                                   [this] { PublishPass(/*drain=*/false); },
                                    /*dedup_queued=*/true);
 }
 
-void SplitFs::PublishPassOnPool() {
+void SplitFs::PublishPass(bool drain) {
   std::unique_lock<std::mutex> ul(publish_mu_);
   for (;;) {
-    if (publish_queue_.empty() || publisher_paused_) {
+    if (publish_queue_.empty() || (publisher_paused_ && !drain)) {
       return;  // A later enqueue (or unpause) schedules the next pass.
     }
     // publish_batch == 0 sizes the batch from the queue as it stands: a deep queue
     // (burst of fsyncs) drains under one journal commit instead of one per cap.
-    const size_t batch_max = opts_.publish_batch > 0
+    const size_t batch_max = opts_.publish_batch > 0 && !drain
                                  ? opts_.publish_batch
-                                 : std::max<size_t>(size_t{1}, publish_queue_.size());
+                                 : publish_queue_.size();
     std::vector<FileRef> batch;
     while (!publish_queue_.empty() && batch.size() < batch_max) {
       batch.push_back(std::move(publish_queue_.front()));
@@ -1647,10 +1640,11 @@ void SplitFs::PublishPassOnPool() {
     {
       // Same locking as a synchronous publish: readers of each file see the staged
       // snapshot until the swap, the published one after — never a torn window.
-      // Pool workers carry no clock lane, so the relink and journal-commit charges
-      // land on the shared timeline, off every application thread's critical path.
-      obs::ScopedSpan span(opts_.tracing ? &ctx_->obs.tracer : nullptr, &ctx_->clock,
-                           "publisher", "publisher.drain", "files", popped);
+      // Pool workers carry no clock lane and a caller-run pass is off the clock, so
+      // the relink and journal-commit charges stay off every application thread's
+      // critical path (a drain on the caller's own clock excepted).
+      obs::ScopedSpan span(&ctx_->obs.tracer, &ctx_->clock, "publisher",
+                           "publisher.drain", "files", popped);
       busy = PublishBatch(std::move(batch));
     }
     ul.lock();
@@ -1664,32 +1658,14 @@ void SplitFs::PublishPassOnPool() {
     publish_idle_cv_.notify_all();
     if (!busy.empty() && busy.size() == popped && !publisher_stop_) {
       // Every file was lock-contended; the holders are mid-operation. Back off a
-      // beat of real time on the worker rather than spinning on their locks.
+      // beat of real time rather than spinning on their locks.
       publish_idle_cv_.wait_for(ul, std::chrono::microseconds(100));
     }
   }
 }
 
-void SplitFs::DrainQueuedPublishes() {
-  std::vector<FileRef> batch;
-  {
-    std::lock_guard<std::mutex> lg(publish_mu_);
-    while (!publish_queue_.empty()) {
-      batch.push_back(std::move(publish_queue_.front()));
-      publish_queue_.pop_front();
-    }
-  }
-  while (!batch.empty()) {
-    batch = PublishBatch(std::move(batch));
-  }
-  publish_idle_cv_.notify_all();
-}
-
 void SplitFs::WaitForPublishes() {
-  if (!HasAsyncPublisher()) {
-    return;
-  }
-  SchedulePublishPass();  // Make sure a pass is armed for queued work.
+  SchedulePublishPass();  // Make sure a pass runs (or is armed) for queued work.
   std::unique_lock<std::mutex> ul(publish_mu_);
   publish_idle_cv_.wait(ul, [this] {
     return publish_queue_.empty() && publishes_inflight_ == 0;
@@ -1950,8 +1926,8 @@ void SplitFs::CheckpointForFull(FileState* held) {
   // is itself blocked right here has already published it, so spinning until the
   // dirty count reaches zero always terminates and never deadlocks.
   ctx_->ChargeCpu(ctx_->model.usplit_log_checkpoint_cpu_ns);
-  obs::ScopedSpan span(opts_.tracing ? &ctx_->obs.tracer : nullptr, &ctx_->clock,
-                       "checkpoint", "splitfs.checkpoint");
+  obs::ScopedSpan span(&ctx_->obs.tracer, &ctx_->clock, "checkpoint",
+                       "splitfs.checkpoint");
   uint64_t epoch = oplog_->ResetEpoch();
   if (held != nullptr) {
     // log_done=false: the reset below retires every intent wholesale, and a done
@@ -1965,7 +1941,9 @@ void SplitFs::CheckpointForFull(FileState* held) {
     // under its still-unsealed intents. Publishing `held` first keeps this
     // deadlock-free: any lock holder blocked here has already emptied its own
     // staged set, so the pass drops (never requeues) its queue entry. A pass itself
-    // skips the fence — it cannot wait for its own drain.
+    // skips the fence — it cannot wait for its own drain — and so does a caller-run
+    // pass, which holds its files' locks until their dirty counts drop, like any
+    // whole-file publisher the spin below waits out.
     WaitForPublishes();
   }
   std::lock_guard<std::mutex> cl(checkpoint_mu_);
@@ -2044,12 +2022,19 @@ int SplitFs::Recover() {
   // Recovery runs before the instance serves new operations (single-threaded, as a
   // real restart would be). Queued publishes reference pre-crash state — drop them
   // first (the queue may hold entries a paused/backed-up publisher never started),
-  // then wait out any publish already in flight.
+  // then wait out any pool pass still running. A caller-run pass the power cut
+  // unwound never dropped its in-flight count.
   {
     std::lock_guard<std::mutex> lg(publish_mu_);
     publish_queue_.clear();
   }
-  WaitForPublishes();
+  if (HasAsyncPublisher()) {
+    services_.publisher_pool->Drain(reinterpret_cast<uint64_t>(this));
+  }
+  {
+    std::lock_guard<std::mutex> lg(publish_mu_);
+    publishes_inflight_ = 0;
+  }
   for (FileShard& shard : file_shards_) {
     std::lock_guard<std::shared_mutex> lock(shard.mu);
     for (auto& [ino, fs] : shard.map) {

@@ -78,7 +78,6 @@
 #include "src/core/options.h"
 #include "src/core/staging.h"
 #include "src/ext4/ext4_dax.h"
-#include "src/obs/histogram.h"
 #include "src/obs/obs.h"
 #include "src/vfs/fd_table.h"
 #include "src/vfs/file_system.h"
@@ -86,13 +85,12 @@
 
 namespace splitfs {
 
-// Public operations instrumented by SplitFs::OpScope: one top-level trace span and
-// one latency-histogram record per call when Options::tracing is set.
+// Public operations instrumented by SplitFs::OpScope: one top-level trace span per
+// call while the context's tracer is enabled.
 enum class OpKind {
   kOpen, kClose, kUnlink, kRename, kPread, kPwrite, kRead, kWrite, kLseek, kFsync,
   kFtruncate, kFallocate, kStat, kFstat, kMkdir, kRmdir, kReadDir, kRecover,
 };
-inline constexpr size_t kOpKindCount = static_cast<size_t>(OpKind::kRecover) + 1;
 const char* OpKindName(OpKind op);
 
 class SplitFs : public vfs::FileSystem {
@@ -102,7 +100,8 @@ class SplitFs : public vfs::FileSystem {
   // (src/tenant/): the publisher/replenisher passes run on the lent shared pools
   // instead of pools the instance owns, and token buckets pace this tenant's
   // staging-file and journal-commit consumption. With the defaults (all null) each
-  // enabled background service runs on its own 1-worker common::ServicePool.
+  // service enabled by its Options bool runs on its own 1-worker
+  // common::ServicePool; a service left off runs the same pass on the caller.
   SplitFs(ext4sim::Ext4Dax* kfs, Options opts, const std::string& instance_tag = "u0",
           const Services& services = {});
   ~SplitFs() override;
@@ -154,31 +153,30 @@ class SplitFs : public vfs::FileSystem {
     return publish_errors_.load(std::memory_order_relaxed);
   }
   // Completion fence of the async publisher: returns once every queued publish has
-  // finished. No-op without a background publisher (inline mode publishes before
-  // fsync/close return). It first re-arms a publish pass, so a queued file whose
-  // pass raced a pause/unpause is never waited on forever.
+  // finished. It first runs or re-arms a publish pass, so a queued file whose pass
+  // raced a pause/unpause is never waited on forever. Blocks for as long as the
+  // publisher is paused with files queued.
   void WaitForPublishes();
   // Files queued for async publication right now (router QoS gauge).
   size_t PublishQueueDepth() const {
     std::lock_guard<std::mutex> lg(publish_mu_);
     return publish_queue_.size();
   }
-  // True when publishes run asynchronously, as passes on the publisher pool (owned
-  // or lent through Services).
-  bool HasAsyncPublisher() const {
-    return opts_.async_relink && opts_.publisher_thread;
-  }
-  // Pops everything currently queued and publishes it on the calling thread. Tenant
-  // unmount drains through here (after stopping new enqueues) so queued publishes —
-  // data the tenant's fsyncs already acknowledged — are on K-Split before the
-  // instance is destroyed; crash tests use it to walk the batched publish
-  // deterministically with the publisher paused.
-  void DrainQueuedPublishes();
+  // True when publish passes run on a publisher pool (owned or lent through
+  // Services); otherwise the fsync/close that queues a file runs the pass itself.
+  bool HasAsyncPublisher() const { return services_.publisher_pool != nullptr; }
+  // Runs the publish pass on the calling thread until the queue is empty, taking the
+  // whole queue per batch and ignoring the pause. Teardown and tenant unmount drain
+  // through here, so queued publishes — data the tenant's fsyncs already
+  // acknowledged — are on K-Split before the instance is destroyed; crash tests use
+  // it to walk the batched publish deterministically with the publisher paused.
+  void DrainQueuedPublishes() { PublishPass(/*drain=*/true); }
 
-  // Test-only: parks the publisher pass before it pops the next queue entry, so a
-  // crash test can build the acknowledged-but-unpublished state (intents fenced,
-  // relinks pending) deterministically and drive recovery through intent replay.
-  // Teardown overrides the pause and publishes what is queued, so it never hangs.
+  // Test-only: parks the publish pass before it pops the next queue entry, whether
+  // a pool worker or the caller runs it, so a crash test can build the
+  // acknowledged-but-unpublished state (intents fenced, relinks pending)
+  // deterministically and drive recovery through intent replay. Teardown overrides
+  // the pause and publishes what is queued, so it never hangs.
   void set_publisher_paused_for_test(bool paused) {
     {
       std::lock_guard<std::mutex> lg(publish_mu_);
@@ -201,18 +199,6 @@ class SplitFs : public vfs::FileSystem {
 
   const StagingPool& staging_pool() const { return *staging_; }
   ext4sim::Ext4Dax* kernel_fs() const { return kfs_; }
-
-  // --- Observability ----------------------------------------------------------------
-  // One consistent cut of every registered counter and gauge (publisher queue depth,
-  // staging occupancy, oplog fill, journal pipeline state, ...). Each gauge is
-  // evaluated exactly once per dump — see obs::MetricsRegistry::Snapshot.
-  std::vector<obs::MetricsRegistry::Sample> DumpMetrics() const {
-    return ctx_->obs.metrics.Snapshot();
-  }
-  // Per-op virtual-time latency histogram, recorded when Options::tracing is set.
-  const obs::LatencyHistogram& OpHistogram(OpKind op) const {
-    return op_hist_[static_cast<size_t>(op)];
-  }
 
  private:
   struct StagedRange {
@@ -352,10 +338,11 @@ class SplitFs : public vfs::FileSystem {
   // --- Async relink publication -----------------------------------------------------
   // fsync/close entry point; caller holds the whole-file lock exclusively. Sync
   // configuration: publishes inline. Async: commits dirty metadata (the fsync
-  // contract covers it), logs + fences relink intents, and either publishes inline
-  // with the cost rewound (deterministic mode) or sets *enqueue — the caller must
-  // then call EnqueuePublish AFTER dropping the file lock: the enqueue can block on
-  // queue backpressure while the publisher blocks on this very file's lock.
+  // contract covers it), logs + fences relink intents, and sets *enqueue unless the
+  // file is already queued — the caller must then call EnqueuePublish AFTER
+  // dropping the file lock: the enqueue can block on queue backpressure while the
+  // publisher blocks on this very file's lock, and without a pool the enqueue runs
+  // the publish pass itself.
   int PublishOrIntend(FileState* fs, bool* enqueue);
   // Logs one kRelinkIntent per staged run (or run delta) not yet intent-covered.
   // POSIX/sync modes only — strict logged every run at write time. Caller holds the
@@ -371,12 +358,15 @@ class SplitFs : public vfs::FileSystem {
   // empty (the lock holder published them) — then the stale pending flag is cleared
   // and they are dropped.
   std::vector<FileRef> PublishBatch(std::vector<FileRef> batch);
-  // Registers a queue-deduplicated publish pass with the publisher pool. No-op
-  // without a background publisher.
+  // Registers a queue-deduplicated publish pass with the publisher pool or, without
+  // one, runs the pass on the caller with its cost rewound off the foreground clock
+  // (sim::ScopedOffClock) — the same store sequence every run, which the async
+  // crash-matrix column depends on.
   void SchedulePublishPass();
-  // One pool pass: drains the publish queue batch by batch (PublishBatch per
-  // batch). Runs on a publisher-pool worker thread.
-  void PublishPassOnPool();
+  // The publish pass, the only code that runs PublishBatch: drains the publish queue
+  // batch by batch (Options::publish_batch files each) until it is empty or paused.
+  // `drain` takes the whole queue per batch and ignores the pause.
+  void PublishPass(bool drain);
   int RelinkRun(FileState* fs, uint64_t file_off, const StagedRange& r);
   int CopyStagedRun(FileState* fs, const StagedRange& r);
 
@@ -405,34 +395,22 @@ class SplitFs : public vfs::FileSystem {
   void CheckpointForFull(FileState* held);
 
   // RAII bracket at every public operation entry: a top-level trace span named after
-  // the op (carrying the op's PM media-time delta, the §5.7 split) plus one latency
-  // record into op_hist_. Inert — one branch — unless Options::tracing is set; inert
-  // inside ScopedOffClock brackets (rewound work has no place on the timeline).
+  // the op, carrying the op's PM media-time delta (the §5.7 split). Inert — one
+  // branch — unless the context's tracer is enabled; inert inside ScopedOffClock
+  // brackets (rewound work has no place on the timeline).
   class OpScope {
    public:
     OpScope(SplitFs* fs, OpKind op, uint64_t arg = 0)
-        : fs_(fs), op_(op),
-          span_(fs->opts_.tracing ? &fs->ctx_->obs.tracer : nullptr, &fs->ctx_->clock,
-                "op", OpKindName(op), "arg", arg) {
-      if (fs_->opts_.tracing && !sim::Clock::OffClock()) {
-        active_ = true;
-        start_ns_ = fs_->ctx_->clock.Now();
-        media0_ = fs_->ctx_->stats.data_media_ns();
-      }
-    }
+        : fs_(fs),
+          span_(&fs->ctx_->obs.tracer, &fs->ctx_->clock, "op", OpKindName(op), "arg",
+                arg),
+          media0_(span_.active() ? fs->ctx_->stats.data_media_ns() : 0) {}
     ~OpScope() {
-      if (!active_) {
-        return;
-      }
-      uint64_t end = fs_->ctx_->clock.Now();
       if (span_.active()) {
         // Media time charged while this op ran. Exact on one thread; concurrent
         // threads' media charges can leak into each other's spans (the counter is
         // process-wide), which the README's reconciliation section spells out.
         span_.set_media_ns(fs_->ctx_->stats.data_media_ns() - media0_);
-      }
-      if (end >= start_ns_) {
-        fs_->op_hist_[static_cast<size_t>(op_)].Record(end - start_ns_);
       }
     }
     OpScope(const OpScope&) = delete;
@@ -440,11 +418,8 @@ class SplitFs : public vfs::FileSystem {
 
    private:
     SplitFs* fs_;
-    OpKind op_;
-    bool active_ = false;
-    uint64_t start_ns_ = 0;
-    uint64_t media0_ = 0;
     obs::ScopedSpan span_;
+    uint64_t media0_;
   };
 
   // Registers (tag-prefixed) gauges for this instance's queues and pools; the dtor
@@ -456,7 +431,8 @@ class SplitFs : public vfs::FileSystem {
   Options opts_;
   std::string tag_;
   // services_.publisher_pool is the executor of the publish passes: the lent shared
-  // pool, or owned_publisher_pool_ when none was lent (set by the constructor).
+  // pool, or owned_publisher_pool_ when none was lent; null when the caller runs
+  // them (set by the constructor).
   Services services_;
   // Ledger resource name for journal-credit throttling, per tenant.
   std::string journal_qos_resource_;
@@ -488,7 +464,7 @@ class SplitFs : public vfs::FileSystem {
   // "splitfs.strict_range_log" in the contention ledger.
   sim::ResourceStamp strict_epoch_stamp_;
 
-  // --- Async publisher (Options::async_relink + publisher_thread) -------------------
+  // --- Async publisher (Options::async_relink) ----------------------------------------
   // Queue of files with intent-logged staged data awaiting publication. Bounded:
   // fsync blocks (real time only — the virtual cost of a publish never lands on a
   // lane) when the publisher falls behind, so staged allocations cannot exhaust the
@@ -506,9 +482,6 @@ class SplitFs : public vfs::FileSystem {
   std::atomic<uint64_t> publish_errors_{0};
   // fsync calls that blocked on publisher-queue backpressure (kMaxQueuedPublishes).
   std::atomic<uint64_t> publish_backpressure_{0};
-
-  // Per-op latency histograms (virtual ns), recorded by OpScope under tracing.
-  std::array<obs::LatencyHistogram, kOpKindCount> op_hist_;
 
   std::function<void()> rename_race_hook_;  // Test-only; see the setter.
 

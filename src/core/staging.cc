@@ -27,10 +27,14 @@ StagingPool::StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options&
   {
     std::lock_guard<std::mutex> pl(pool_mu_);
     for (uint32_t i = 0; i < opts_.num_staging_files; ++i) {
-      SPLITFS_CHECK(CreateStageFileLocked(CreateMode::kForeground));
+      SPLITFS_CHECK(CreateStageFileLocked());
     }
   }
-  if (opts_.replenish_thread && services_.replenisher_pool == nullptr) {
+  // The replenish executor: a pool worker when replenishment is backgrounded, else
+  // the caller (null pool).
+  if (!opts_.replenish_thread) {
+    services_.replenisher_pool = nullptr;
+  } else if (services_.replenisher_pool == nullptr) {
     owned_replenisher_pool_ =
         std::make_unique<common::ServicePool>("staging.replenisher");
     services_.replenisher_pool = owned_replenisher_pool_.get();
@@ -38,7 +42,7 @@ StagingPool::StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options&
 }
 
 StagingPool::~StagingPool() {
-  if (opts_.replenish_thread) {
+  if (services_.replenisher_pool != nullptr) {
     {
       std::lock_guard<std::mutex> pl(pool_mu_);
       stop_ = true;
@@ -68,15 +72,7 @@ StagingPool::Lane& StagingPool::LaneOfThisThread() {
   return *lanes_[common::ThreadLaneIndex(lanes_.size())];
 }
 
-bool StagingPool::CreateStageFile(CreateMode mode, StageFile* out) {
-  // Deterministic background mode: the work happens inline (same store sequence
-  // every run) but is attributed to the §3.5 background thread — the charge is
-  // rewound and no resource stamp accumulates it, exactly as when a replenisher
-  // pass (whose worker has no lane) does it.
-  std::optional<sim::ScopedOffClock> off;
-  if (mode == CreateMode::kBackgroundInline) {
-    off.emplace(&ctx_->clock);
-  }
+bool StagingPool::CreateStageFile(StageFile* out) {
   StageFile sf;
   std::string path = dir_ + "/s" +
                      std::to_string(files_created_.fetch_add(1, std::memory_order_relaxed));
@@ -101,16 +97,13 @@ bool StagingPool::CreateStageFile(CreateMode mode, StageFile* out) {
   for (uint64_t chunk = 0; chunk < opts_.staging_file_bytes; chunk += common::kHugePageSize) {
     ctx_->ChargeHugePageSetup();
   }
-  if (mode != CreateMode::kForeground) {
-    background_creations_.fetch_add(1, std::memory_order_relaxed);
-  }
   *out = std::move(sf);
   return true;
 }
 
-bool StagingPool::CreateStageFileLocked(CreateMode mode) {
+bool StagingPool::CreateStageFileLocked() {
   StageFile sf;
-  if (!CreateStageFile(mode, &sf)) {
+  if (!CreateStageFile(&sf)) {
     return false;
   }
   spare_.push_back(std::move(sf));
@@ -124,7 +117,7 @@ bool StagingPool::RefillLaneLocked(Lane* lane) {
     uint64_t throttled = services_.staging_tokens->Take(&ctx_->clock);
     obs::ReportWait(&ctx_->obs, &ctx_->clock, qos_resource_.c_str(), throttled);
   }
-  std::lock_guard<std::mutex> pl(pool_mu_);
+  std::unique_lock<std::mutex> pl(pool_mu_);
   if (spare_.empty()) {
     // Exhausted faster than replenishment: the application pays for the new file, as
     // it would if the paper's background thread fell behind.
@@ -132,20 +125,23 @@ bool StagingPool::RefillLaneLocked(Lane* lane) {
     obs::ReportWait(&ctx_->obs, &ctx_->clock, "staging.slow_path", serial.waited_ns());
     obs::ScopedSpan span(&ctx_->obs.tracer, &ctx_->clock, "staging",
                          "staging.foreground_create");
-    if (!CreateStageFileLocked(CreateMode::kForeground)) {
+    if (!CreateStageFileLocked()) {
       return false;
     }
   }
   lane->active = std::move(spare_.front());
   spare_.pop_front();
-  if (spare_.size() < opts_.num_staging_files) {
-    KickReplenisherLocked();
+  // Pool executor only: a caller-run top-up here would create a file at the first
+  // allocation and shift every later store. ConsumeActiveLocked tops up instead.
+  if (services_.replenisher_pool != nullptr &&
+      spare_.size() < opts_.num_staging_files) {
+    KickReplenisherLocked(&pl);
   }
   return true;
 }
 
 void StagingPool::ConsumeActiveLocked(Lane* lane) {
-  std::lock_guard<std::mutex> pl(pool_mu_);
+  std::unique_lock<std::mutex> pl(pool_mu_);
   StageFile sf = std::move(*lane->active);
   lane->active.reset();
   if (sf.handed_out == 0) {
@@ -154,41 +150,42 @@ void StagingPool::ConsumeActiveLocked(Lane* lane) {
     consumed_.push_back(std::move(sf));
   }
   // Trigger the replacement now, so the pool's working set stays at its configured
-  // size. Deterministic mode creates it inline (cost rewound); background mode
-  // registers a replenish pass. When the spare queue is already empty
-  // the next refill creates the file in the foreground — same as the
-  // pre-concurrency pool.
-  if (opts_.replenish_thread) {
-    KickReplenisherLocked();
-  } else if (!spare_.empty()) {
-    CreateStageFileLocked(CreateMode::kBackgroundInline);
-  }
+  // size. If the pass has not refilled the spare queue by the next refill, that
+  // refill creates the file in the foreground.
+  KickReplenisherLocked(&pl);
 }
 
-void StagingPool::KickReplenisherLocked() {
-  if (!opts_.replenish_thread) {
+void StagingPool::KickReplenisherLocked(std::unique_lock<std::mutex>* pl) {
+  if (services_.replenisher_pool == nullptr) {
+    // The pass really runs here, but its cost belongs to the §3.5 background thread:
+    // the charge is rewound and no resource stamp accumulates it.
+    sim::ScopedOffClock off(&ctx_->clock);
+    ReplenishPass(pl);
     return;
   }
   // Queued-pass dedup: one pending pass tops the queue up however far it has
   // drained by the time a worker runs it.
   services_.replenisher_pool->Submit(reinterpret_cast<uint64_t>(this),
-                                     [this] { ReplenishPassOnPool(); },
+                                     [this] {
+                                       std::unique_lock<std::mutex> ul(pool_mu_);
+                                       ReplenishPass(&ul);
+                                     },
                                      /*dedup_queued=*/true);
 }
 
-void StagingPool::ReplenishPassOnPool() {
-  std::unique_lock<std::mutex> ul(pool_mu_);
+void StagingPool::ReplenishPass(std::unique_lock<std::mutex>* pl) {
   while (!stop_ && spare_.size() < opts_.num_staging_files) {
     // Create outside pool_mu_: the kernel work (open + fallocate + map) is the slow
     // part, and holding the pool lock across it would stall every foreground
     // refill — the §3.5 critical-path cost this pass exists to absorb.
-    ul.unlock();
+    pl->unlock();
     StageFile sf;
-    bool ok = CreateStageFile(CreateMode::kBackgroundPass, &sf);
-    ul.lock();
+    bool ok = CreateStageFile(&sf);
+    pl->lock();
     if (!ok) {
       return;  // Out of space; foreground allocations will surface ENOSPC.
     }
+    background_creations_.fetch_add(1, std::memory_order_relaxed);
     spare_.push_back(std::move(sf));
   }
 }

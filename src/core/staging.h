@@ -9,12 +9,13 @@
 //     touching any shared state, so concurrent appends to different files never
 //     contend on the pool;
 //   * replenishes consumed files off the critical path (the paper's §3.5 background
-//     thread). One executor, two modes: with Options::replenish_thread, top-up
-//     passes run on a common::ServicePool — the one lent through Services, or a
-//     1-worker pool the instance owns — and keep the shared spare-file queue full;
-//     without it (the default) the replacement is created inline but its cost is
-//     rewound off the foreground clock — equivalent accounting with a fully
-//     deterministic store sequence, which the crash harness depends on.
+//     thread). One pass tops the shared spare-file queue back up, run by a pool
+//     worker or by the caller. With Options::replenish_thread the pass runs on a
+//     common::ServicePool — the one lent through Services, or a 1-worker pool the
+//     instance owns. Without it (the default) the thread that consumes a staging
+//     file runs the pass itself, its cost rewound off the foreground clock —
+//     equivalent accounting with a fully deterministic store sequence, which the
+//     crash harness depends on.
 //
 // Lock order inside the pool: lane.mu, then pool_mu_. Both are leaves with respect to
 // the rest of the stack (the pool calls into K-Split while holding them, never the
@@ -51,8 +52,8 @@ class StagingPool {
  public:
   // `instance_tag` keeps staging namespaces of concurrent U-Split instances apart.
   // `services` (optional) wires the pool into a multi-tenant deployment: with
-  // `replenisher_pool` set (and Options::replenish_thread on), replenishment passes
-  // run on the shared pool instead of a 1-worker pool of our own; with
+  // `replenisher_pool` set (and Options::replenish_thread on), replenish passes run
+  // on the shared pool instead of a 1-worker pool of our own; with
   // `staging_tokens` set, each staging file a lane takes costs one token, pacing
   // the tenant's staging consumption on its own timeline.
   StagingPool(ext4sim::Ext4Dax* kfs, MmapCache* mmaps, const Options& opts,
@@ -124,43 +125,40 @@ class StagingPool {
     std::optional<StageFile> active;
   };
 
-  enum class CreateMode {
-    kForeground,        // Cost on the caller's clock (startup, pool exhaustion).
-    kBackgroundInline,  // Cost rewound off the caller's clock (deterministic mode).
-    kBackgroundPass,    // Created by a replenisher-pool pass; pool workers carry no
-                        // clock lane, so the charges land on the shared timeline,
-                        // which lane-based measurements ignore — the §3.5 point: the
-                        // cost is off every app thread's critical path.
-  };
-
   Lane& LaneOfThisThread();
-  // Creates + fallocates + maps one staging file into *out. Thread-safe without
-  // pool_mu_ (the file number is reserved atomically); the caller pushes the result
-  // onto spare_ under pool_mu_.
-  bool CreateStageFile(CreateMode mode, StageFile* out);
+  // Creates + fallocates + maps one staging file into *out, charging the calling
+  // thread's clock. Thread-safe without pool_mu_ (the file number is reserved
+  // atomically); the caller pushes the result onto spare_ under pool_mu_.
+  bool CreateStageFile(StageFile* out);
   // CreateStageFile + push to spare_. Caller holds pool_mu_.
-  bool CreateStageFileLocked(CreateMode mode);
-  // Moves a spare file into `lane.active`, triggering replenishment. Caller holds
-  // lane.mu; takes pool_mu_.
+  bool CreateStageFileLocked();
+  // Moves a spare file into `lane.active`, registering a replenish pass with the
+  // pool executor. Caller holds lane.mu; takes pool_mu_.
   bool RefillLaneLocked(Lane* lane);
-  // Hands the lane's consumed active file to consumed_ (or retires it). Caller holds
-  // lane.mu; takes pool_mu_.
+  // Hands the lane's consumed active file to consumed_ (or retires it), then kicks
+  // the replenisher. Caller holds lane.mu; takes pool_mu_.
   void ConsumeActiveLocked(Lane* lane);
   // Device offset backing `file_off` of `sf` (staging files are fully allocated).
   uint64_t DevOffsetOf(const StageFile& sf, uint64_t file_off) const;
   // Closes + unlinks a fully-released consumed file, off the foreground clock.
   void Retire(StageFile* sf);
-  // One replenisher-pool pass: tops the spare queue back up to the configured size.
-  void ReplenishPassOnPool();
-  // Registers a queue-deduplicated replenish pass. No-op in inline mode.
-  void KickReplenisherLocked();
+  // The replenish pass: tops the spare queue back up to the configured size. `pl`
+  // holds pool_mu_; the pass drops it around each file creation. On a pool worker,
+  // which carries no clock lane, the charges land on the shared timeline that
+  // lane-based measurements ignore — the §3.5 point: the cost is off every app
+  // thread's critical path.
+  void ReplenishPass(std::unique_lock<std::mutex>* pl);
+  // Registers a queue-deduplicated replenish pass with the pool or, without one,
+  // runs it on the caller under sim::ScopedOffClock. `pl` holds pool_mu_.
+  void KickReplenisherLocked(std::unique_lock<std::mutex>* pl);
 
   ext4sim::Ext4Dax* kfs_;
   MmapCache* mmaps_;
   sim::Context* ctx_;
   Options opts_;
   // services_.replenisher_pool is the executor of the replenish passes: the lent
-  // shared pool, or owned_replenisher_pool_ when none was lent.
+  // shared pool, or owned_replenisher_pool_ when none was lent; null when the
+  // caller runs them.
   Services services_;
   std::string dir_;
   // Ledger resource name for staging-token throttling, per tenant.

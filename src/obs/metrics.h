@@ -7,7 +7,7 @@
 // retire-list length, oplog fill — so the instantaneous value is read from the owning
 // structure under that structure's own synchronization.
 //
-// Snapshot discipline (the DumpMetrics race fix): every dump takes the registry lock
+// Snapshot discipline (the snapshot race fix): every dump takes the registry lock
 // and evaluates each gauge exactly once into one vector — one atomic cut per dump,
 // never a value re-read mid-formatting. Gauge callbacks must themselves read shared
 // state with acquire loads (or under the owning lock); the registry's contract is that

@@ -105,9 +105,9 @@ class Clock {
   bool HasLane() const { return BoundLane() != nullptr; }
   // True while the calling thread is inside a ScopedOffClock bracket: its work
   // belongs to a background context of the simulated machine. Resource stamps
-  // consult this so inline background work accumulates no busy time — a real
-  // background thread has no lane and accumulates none, and the deterministic
-  // inline twin must account identically.
+  // consult this so caller-run background work accumulates no busy time — a pool
+  // worker has no lane and accumulates none, and the same pass run by the caller
+  // must account identically.
   static bool OffClock() { return tls_off_clock_ > 0; }
   // Incremented by Reset(); lets ResourceStamp discard busy time from before a reset.
   uint64_t ResetSeq() const { return reset_seq_.load(std::memory_order_relaxed); }
@@ -259,13 +259,13 @@ class ResourceStamp {
 };
 
 // Brackets work that really happens on the calling thread but belongs to a
-// background context of the simulated machine — staging replenishment, retirement of
-// epoch-reclaimed snapshots, the deterministic inline mode of the async relink
-// publisher. The elapsed virtual charge is rewound on destruction, so foreground
-// timelines are identical whether the background work runs inline (deterministic
-// store sequence, what the crash harness needs) or as a pass on a service-pool
-// worker (whose charges land on the shared timeline that lane-based measurements
-// ignore).
+// background context of the simulated machine — a publish or replenish pass run by
+// the caller because the instance has no pool for it, retirement of staging files
+// and of epoch-reclaimed snapshots. The elapsed virtual charge is rewound on
+// destruction, so foreground timelines are identical whether a service's pass runs
+// on the caller (deterministic store sequence, what the crash harness needs) or on
+// a service-pool worker (whose charges land on the shared timeline that lane-based
+// measurements ignore).
 class ScopedOffClock {
  public:
   explicit ScopedOffClock(Clock* clock) : clock_(clock), t0_(clock->Now()) {

@@ -394,7 +394,7 @@ TEST(AsyncRelinkCheckpoint, LogFullCheckpointDoesNotDeadlockAndKeepsData) {
     ext4sim::Ext4Dax kfs(&dev);
     Options o = ConcurrentOptions(mode, /*async_publish=*/true);
     o.replenish_thread = false;
-    o.publisher_thread = false;   // Inline deferred publish: deterministic.
+    o.publisher_thread = false;   // Caller-run publish pass: deterministic.
     o.oplog_bytes = 64 * 1024;    // 1024 entries: checkpoints early and often.
     SplitFs fs(&kfs, o);
     // A second file that stays dirty (staged, never fsync'd): the checkpoint's

@@ -48,6 +48,23 @@ void ExpectClean(const MatrixStats& stats, const std::string& what) {
   }
 }
 
+// Sweep results recorded once and compared on every run. The double-run checks
+// compare two runs of the same build, so a change that moves store ordinals the
+// same way in both runs still passes them; a pinned value catches it.
+struct Pinned {
+  uint64_t crash_states;
+  uint64_t fence_points;
+  uint64_t store_points;
+  uint64_t fingerprint;
+};
+
+void ExpectPinned(const MatrixStats& stats, const Pinned& pin, const std::string& what) {
+  EXPECT_EQ(stats.crash_states, pin.crash_states) << what;
+  EXPECT_EQ(stats.fence_points, pin.fence_points) << what;
+  EXPECT_EQ(stats.store_points, pin.store_points) << what;
+  EXPECT_EQ(stats.fingerprint, pin.fingerprint) << what;
+}
+
 TEST(CrashMatrixSmoke, StrictAppendSurvivesInjection) {
   RunnerConfig cfg;
   cfg.seed = kSeed;
@@ -79,11 +96,21 @@ TEST(CrashMatrixSmoke, DeterministicUnderFixedSeed) {
   EXPECT_EQ(a.oracle_failures, b.oracle_failures);
   EXPECT_EQ(a.fingerprint, b.fingerprint);  // Byte-identical recovered states.
   EXPECT_EQ(a.failures, b.failures);
+  ExpectPinned(a, {8, 3, 1, 0x6cef8dc28fef478cull}, "strict/overwrite");
 }
 
 // The acceptance matrix: >= 100 distinct crash states across
 // {posix, sync, strict} x {append, overwrite, rename} on SplitFS.
 TEST(CrashMatrix, SplitFsModesTimesWorkloads) {
+  // Mode-major, then append / overwrite / rename.
+  constexpr Pinned kPins[] = {
+      {42, 10, 4, 0x34b97de98991ebb0ull}, {39, 9, 4, 0xf317cacbf629e1b2ull},
+      {33, 7, 4, 0x098158be8a48179bull},  {42, 10, 4, 0x112498e9286b05a8ull},
+      {42, 10, 4, 0xe78188e14b0628c6ull}, {42, 10, 4, 0x19dd436e2d5f1d18ull},
+      {42, 10, 4, 0x23822b35378c8d09ull}, {42, 10, 4, 0x508652586186b949ull},
+      {42, 10, 4, 0x967692dbc0ff78ccull},
+  };
+  size_t cell = 0;
   uint64_t total_states = 0;
   for (splitfs::Mode mode :
        {splitfs::Mode::kPosix, splitfs::Mode::kSync, splitfs::Mode::kStrict}) {
@@ -94,9 +121,11 @@ TEST(CrashMatrix, SplitFsModesTimesWorkloads) {
                          GuaranteesFor(mode), cfg);
       MatrixStats stats = runner.Run();
       total_states += stats.crash_states;
-      ExpectClean(stats, std::string(splitfs::ModeName(mode)) + "/" + script.name);
+      const std::string what = std::string(splitfs::ModeName(mode)) + "/" + script.name;
+      ExpectClean(stats, what);
       EXPECT_GT(stats.fence_points, 0u);
       EXPECT_GT(stats.store_points, 0u);
+      ExpectPinned(stats, kPins[cell++], what);
     }
   }
   EXPECT_GE(total_states, 100u);
@@ -127,11 +156,12 @@ TEST(CrashMatrixSmoke, TruncateAfterStagedAppendsDoesNotResurrect) {
 }
 
 // --- Async relink column ----------------------------------------------------------------
-// The same mode × workload sweep with Options::async_relink on (deterministic inline
-// publisher): fsync fences intent records before the publish runs, so injected
-// crashes land between the intent fence and the relinks/commit. Recovery must land
-// on the staged contents (intent replay re-relinks them) or the published contents —
-// never a torn mix — and fsck must stay clean.
+// The same mode × workload sweep with Options::async_relink on (no publisher pool:
+// the fsyncing caller runs the publish pass): fsync fences intent records before
+// the publish runs, so injected crashes land between the intent fence and the
+// relinks/commit. Recovery must land on the staged contents (intent replay
+// re-relinks them) or the published contents — never a torn mix — and fsck must
+// stay clean.
 
 TEST(CrashMatrixSmoke, AsyncRelinkIntentWindowSurvivesInjection) {
   RunnerConfig cfg;
@@ -162,68 +192,84 @@ TEST(CrashMatrixSmoke, AsyncRelinkDeterministicUnderFixedSeed) {
   MatrixStats a = run();
   MatrixStats b = run();
   EXPECT_EQ(a.crash_states, b.crash_states);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);  // Inline publisher: byte-identical.
+  EXPECT_EQ(a.fingerprint, b.fingerprint);  // Caller-run publisher: byte-identical.
   EXPECT_EQ(a.failures, b.failures);
+  ExpectPinned(a, {8, 3, 1, 0x8a40ac644209fea0ull}, "sync+async/append");
 }
 
-// The async contract end-to-end: with the real publisher parked, fsync returns once
-// the relink intents are fenced; a crash before any relink ran must still recover
-// the acknowledged bytes — recovery replays the intents. (Also the regression test
-// for the recovery-scan bug that silently discarded intent records: op codes above
-// kRenameTo failed structural validation, so exactly the entries that make an
-// acknowledged-but-unpublished fsync recoverable were dropped.)
+// The async contract end-to-end: with the publisher parked, fsync returns once the
+// relink intents are fenced; a crash before any relink ran must still recover the
+// acknowledged bytes — recovery replays the intents. The pause holds the publish
+// pass under either executor: a pool worker, or the fsyncing caller when there is
+// no pool. (Also the regression test for the recovery-scan bug that silently
+// discarded intent records: op codes above kRenameTo failed structural validation,
+// so exactly the entries that make an acknowledged-but-unpublished fsync
+// recoverable were dropped.)
 TEST(CrashMatrixSmoke, AckedButUnpublishedFsyncRecoversFromIntents) {
-  for (splitfs::Mode mode : {splitfs::Mode::kPosix, splitfs::Mode::kStrict}) {
-    auto w = std::make_unique<crash::World>();
-    w->dev = std::make_unique<pmem::Device>(&w->ctx, 64 * common::kMiB);
-    w->kfs = std::make_unique<ext4sim::Ext4Dax>(w->dev.get());
-    splitfs::Options o;
-    o.mode = mode;
-    o.num_staging_files = 2;
-    o.staging_file_bytes = 4 * common::kMiB;
-    o.oplog_bytes = 256 * common::kKiB;
-    o.async_relink = true;
-    o.publisher_thread = true;
-    auto sfs = std::make_unique<splitfs::SplitFs>(w->kfs.get(), o);
-    splitfs::SplitFs* fs = sfs.get();
-    w->fs = std::move(sfs);
-    w->dev->EnableCrashTracking(true);
-    fs->set_publisher_paused_for_test(true);  // Intents fence; relinks never run.
+  for (bool publisher_thread : {true, false}) {
+    for (splitfs::Mode mode : {splitfs::Mode::kPosix, splitfs::Mode::kStrict}) {
+      SCOPED_TRACE(publisher_thread ? "pool executor" : "caller executor");
+      auto w = std::make_unique<crash::World>();
+      w->dev = std::make_unique<pmem::Device>(&w->ctx, 64 * common::kMiB);
+      w->kfs = std::make_unique<ext4sim::Ext4Dax>(w->dev.get());
+      splitfs::Options o;
+      o.mode = mode;
+      o.num_staging_files = 2;
+      o.staging_file_bytes = 4 * common::kMiB;
+      o.oplog_bytes = 256 * common::kKiB;
+      o.async_relink = true;
+      o.publisher_thread = publisher_thread;
+      auto sfs = std::make_unique<splitfs::SplitFs>(w->kfs.get(), o);
+      splitfs::SplitFs* fs = sfs.get();
+      w->fs = std::move(sfs);
+      w->dev->EnableCrashTracking(true);
+      ASSERT_EQ(fs->HasAsyncPublisher(), publisher_thread);
+      fs->set_publisher_paused_for_test(true);  // Intents fence; relinks never run.
 
-    int fd = fs->Open("/acked", vfs::kRdWr | vfs::kCreate);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(fs->Fsync(fd), 0);  // The create itself is durable.
-    std::vector<uint8_t> data(6000);
-    for (size_t i = 0; i < data.size(); ++i) {
-      data[i] = static_cast<uint8_t>(0x11 ^ (i * 13));
-    }
-    ASSERT_EQ(fs->Pwrite(fd, data.data(), data.size(), 0),
-              static_cast<ssize_t>(data.size()));
-    ASSERT_EQ(fs->Fsync(fd), 0);  // Returns at the intent fence; publish queued.
-    EXPECT_EQ(fs->Relinks(), 0u) << "publisher ran despite the pause";
+      int fd = fs->Open("/acked", vfs::kRdWr | vfs::kCreate);
+      ASSERT_GE(fd, 0);
+      ASSERT_EQ(fs->Fsync(fd), 0);  // The create itself is durable.
+      std::vector<uint8_t> data(6000);
+      for (size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint8_t>(0x11 ^ (i * 13));
+      }
+      ASSERT_EQ(fs->Pwrite(fd, data.data(), data.size(), 0),
+                static_cast<ssize_t>(data.size()));
+      ASSERT_EQ(fs->Fsync(fd), 0);  // Returns at the intent fence; publish queued.
+      EXPECT_EQ(fs->Relinks(), 0u) << "publisher ran despite the pause";
 
-    w->dev->Crash();
-    ASSERT_EQ(w->RecoverAll(), 0);
-    fs->set_publisher_paused_for_test(false);
+      w->dev->Crash();
+      ASSERT_EQ(w->RecoverAll(), 0);
+      fs->set_publisher_paused_for_test(false);
 
-    int rfd = fs->Open("/acked", vfs::kRdOnly);
-    ASSERT_GE(rfd, 0);
-    vfs::StatBuf st;
-    ASSERT_EQ(fs->Fstat(rfd, &st), 0);
-    EXPECT_EQ(st.size, data.size()) << splitfs::ModeName(mode);
-    std::vector<uint8_t> back(data.size());
-    ASSERT_EQ(fs->Pread(rfd, back.data(), back.size(), 0),
-              static_cast<ssize_t>(back.size()));
-    EXPECT_EQ(back, data) << splitfs::ModeName(mode);
-    fs->Close(rfd);
-    ext4sim::FsckReport fsck = ext4sim::RunFsck(w->kfs.get());
-    for (const auto& p : fsck.problems) {
-      ADD_FAILURE() << splitfs::ModeName(mode) << ": " << p;
+      int rfd = fs->Open("/acked", vfs::kRdOnly);
+      ASSERT_GE(rfd, 0);
+      vfs::StatBuf st;
+      ASSERT_EQ(fs->Fstat(rfd, &st), 0);
+      EXPECT_EQ(st.size, data.size()) << splitfs::ModeName(mode);
+      std::vector<uint8_t> back(data.size());
+      ASSERT_EQ(fs->Pread(rfd, back.data(), back.size(), 0),
+                static_cast<ssize_t>(back.size()));
+      EXPECT_EQ(back, data) << splitfs::ModeName(mode);
+      fs->Close(rfd);
+      ext4sim::FsckReport fsck = ext4sim::RunFsck(w->kfs.get());
+      for (const auto& p : fsck.problems) {
+        ADD_FAILURE() << splitfs::ModeName(mode) << ": " << p;
+      }
     }
   }
 }
 
 TEST(CrashMatrix, AsyncRelinkModesTimesWorkloads) {
+  // Mode-major, then append / overwrite / rename.
+  constexpr Pinned kPins[] = {
+      {42, 10, 4, 0x314a6dd6f8b39c33ull}, {42, 10, 4, 0x1c890168cc4e73a7ull},
+      {42, 10, 4, 0x93d5dee9adbd3b64ull}, {42, 10, 4, 0x785e43672397f999ull},
+      {42, 10, 4, 0x17fe8b94d1789f4cull}, {42, 10, 4, 0xbcf3d8944c1436daull},
+      {42, 10, 4, 0xe9ca213045738a7bull}, {42, 10, 4, 0xfa1c18b1c800fc44ull},
+      {42, 10, 4, 0x168e639ae4d99e12ull},
+  };
+  size_t cell = 0;
   uint64_t total_states = 0;
   for (splitfs::Mode mode :
        {splitfs::Mode::kPosix, splitfs::Mode::kSync, splitfs::Mode::kStrict}) {
@@ -234,7 +280,10 @@ TEST(CrashMatrix, AsyncRelinkModesTimesWorkloads) {
                          script, GuaranteesFor(mode), cfg);
       MatrixStats stats = runner.Run();
       total_states += stats.crash_states;
-      ExpectClean(stats, std::string(splitfs::ModeName(mode)) + "+async/" + script.name);
+      const std::string what =
+          std::string(splitfs::ModeName(mode)) + "+async/" + script.name;
+      ExpectClean(stats, what);
+      ExpectPinned(stats, kPins[cell++], what);
     }
   }
   EXPECT_GE(total_states, 100u);
@@ -681,12 +730,16 @@ TEST(CrashMatrixSmoke, MidBatchedPublishCrashRecoversEveryAckedFile) {
 }
 
 TEST(CrashMatrixSmoke, MidBatchedPublishCrashStatesAreDeterministic) {
+  // kSubset, kTorn.
+  constexpr uint64_t kPins[] = {0xa1189c4903e03495ull, 0xa1189c4903e03495ull};
+  size_t cell = 0;
   for (crash::FatePolicy fate : {FatePolicy::kSubset, FatePolicy::kTorn}) {
     BatchCrashOutcome a = RunBatchedPublishCrashState(3, fate, kSeed);
     BatchCrashOutcome b = RunBatchedPublishCrashState(3, fate, kSeed);
     ASSERT_TRUE(a.crashed);
     ASSERT_TRUE(b.crashed);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
+    EXPECT_EQ(a.fingerprint, kPins[cell++]);
   }
 }
 
@@ -704,7 +757,7 @@ tenant::TenantOptions ChurnCellTenant(bool async_publish) {
   t.fs.num_staging_files = 2;
   t.fs.staging_file_bytes = common::kMiB;
   t.fs.oplog_bytes = 256 * common::kKiB;
-  t.fs.replenish_thread = false;  // Inline refill: deterministic store sequence.
+  t.fs.replenish_thread = false;  // Caller-run refill: deterministic store sequence.
   if (async_publish) {
     t.fs.async_relink = true;
     t.fs.publisher_thread = true;  // Pool passes exist but stay paused in the cells.
@@ -929,18 +982,26 @@ TEST(CrashMatrixSmoke, TenantSharedPoolDrainCrashRecoversBothTenants) {
 }
 
 TEST(CrashMatrixSmoke, TenantChurnCrashStatesAreDeterministic) {
+  // Per fate (kSubset, kTorn): mount, unmount drain, cross-tenant drain.
+  constexpr uint64_t kPins[] = {
+      0xcc03ff47448b64acull, 0x98698571c20ccdf5ull, 0x98698571c20ccdf5ull,
+      0xcc03ff47448b64acull, 0x98698571c20ccdf5ull, 0x98698571c20ccdf5ull,
+  };
+  size_t cell = 0;
   for (crash::FatePolicy fate : {FatePolicy::kSubset, FatePolicy::kTorn}) {
     {
       BatchCrashOutcome a = RunMountCrashState(4, fate, kSeed);
       BatchCrashOutcome b = RunMountCrashState(4, fate, kSeed);
       ASSERT_TRUE(a.crashed && b.crashed);
       EXPECT_EQ(a.fingerprint, b.fingerprint);
+      EXPECT_EQ(a.fingerprint, kPins[cell++]);
     }
     for (bool unmount : {true, false}) {
       BatchCrashOutcome a = RunChurnDrainCrashState(unmount, 3, fate, kSeed);
       BatchCrashOutcome b = RunChurnDrainCrashState(unmount, 3, fate, kSeed);
       ASSERT_TRUE(a.crashed && b.crashed);
       EXPECT_EQ(a.fingerprint, b.fingerprint);
+      EXPECT_EQ(a.fingerprint, kPins[cell++]);
     }
   }
 }
@@ -978,7 +1039,7 @@ StrictRangeWorld MakeStrictRangeWorld(uint64_t oplog_bytes) {
   o.num_staging_files = 2;
   o.staging_file_bytes = 4 * common::kMiB;
   o.oplog_bytes = oplog_bytes;
-  o.replenish_thread = false;  // Inline refill: deterministic store sequence.
+  o.replenish_thread = false;  // Caller-run refill: deterministic store sequence.
   auto sfs = std::make_unique<splitfs::SplitFs>(srw.w->kfs.get(), o);
   srw.fs = sfs.get();
   srw.w->fs = std::move(sfs);

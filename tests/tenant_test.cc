@@ -211,7 +211,7 @@ TEST_F(TenantTest, JournalCreditsThrottleAndAttribute) {
 TEST_F(TenantTest, StagingTokensThrottleAndAttribute) {
   TenantRouter router(&kfs_);
   TenantOptions hog = SmallTenant(Mode::kPosix, /*async=*/false);
-  hog.fs.replenish_thread = false;  // Inline refill: the foreground pays the toll.
+  hog.fs.replenish_thread = false;  // Caller-run refill: the foreground pays the toll.
   hog.staging_tokens_per_sec = 10.0;  // One staging file per 100 simulated ms.
   hog.staging_token_burst = 1.0;
   ASSERT_EQ(router.Mount("hog", hog), 0);
